@@ -9,18 +9,14 @@ pub mod render;
 pub mod signal;
 mod smoke;
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::sync::Arc;
 
-use oasis_engine::journal::{AdjudicatedOutcome, Adjudication, JournalWriter};
-use oasis_engine::pool::{
-    run_sweep, run_sweep_controlled, Job, JobError, JobOutcome, PoolConfig, StopHandle,
-    SweepControl,
-};
-use oasis_mgpu::{run_campaign_supervised, simulate, CampaignConfig, Policy, System};
+use oasis_engine::codec::{ByteReader, ByteWriter, CodecError};
+use oasis_engine::pool::{run_sweep, Job, JobOutcome, PoolConfig, StopHandle};
+use oasis_engine::sweep::{clip, JournaledSweep, Outcome, PayloadCodec, SweepOptions};
+use oasis_mgpu::{run_campaign_supervised, simulate, Policy, System};
 use oasis_workloads::{generate, Trace};
 
 pub use args::{Cli, Command, ParseError};
@@ -73,12 +69,7 @@ impl From<String> for CliError {
 /// The supervised-pool shape this invocation selects (`--jobs`,
 /// `--job-deadline-secs`, `--job-attempts`).
 fn pool_config(cli: &Cli) -> PoolConfig {
-    PoolConfig {
-        workers: cli.jobs.max(1),
-        deadline: cli.job_deadline_secs.map(std::time::Duration::from_secs),
-        max_attempts: cli.job_attempts.max(1),
-        ..PoolConfig::default()
-    }
+    sweep_options(cli, None).pool()
 }
 
 /// Runs `run` with optional checkpoint/resume plumbing and returns the
@@ -113,13 +104,27 @@ fn run_with_checkpoints(cli: &Cli, trace: &Trace) -> Result<oasis_mgpu::RunRepor
     sys.run(trace).map_err(|e| e.to_string())
 }
 
+/// The shared sweep knobs this invocation selects (`--jobs`,
+/// `--job-deadline-secs`, `--job-attempts`, `--journal`,
+/// `--resume-sweep`) plus the signal handler's stop handle.
+fn sweep_options(cli: &Cli, stop: Option<&StopHandle>) -> SweepOptions {
+    SweepOptions {
+        jobs: cli.jobs,
+        deadline: cli.job_deadline_secs.map(std::time::Duration::from_secs),
+        attempts: cli.job_attempts,
+        journal: cli.journal.as_ref().map(std::path::PathBuf::from),
+        resume_sweep: cli.resume_sweep,
+        stop: stop.cloned(),
+    }
+}
+
 /// The sweep-identity tag for a `verify-replay` journal: the audit is
 /// defined by its app, GPU count, and footprint, so resuming under any
 /// other shape is a typed tag-mismatch error.
 fn verify_tag(cli: &Cli) -> u64 {
     oasis_engine::fnv1a(
         format!(
-            "oasis-verify-replay-v1 app={} gpus={} footprint_mb={}",
+            "oasis-verify-replay-v2 app={} gpus={} footprint_mb={}",
             cli.app.abbr(),
             cli.gpus,
             cli.workload_params().footprint_mb
@@ -128,15 +133,19 @@ fn verify_tag(cli: &Cli) -> u64 {
     )
 }
 
-/// Decodes a journaled per-policy verdict: the payload is the rendered
-/// output line (`Completed`) or the rendered failure message (otherwise).
-fn decode_policy_payload(adj: &Adjudication) -> Result<Result<String, String>, String> {
-    let text = String::from_utf8(adj.payload.clone())
-        .map_err(|_| "verify-replay journal payload is not UTF-8".to_string())?;
-    Ok(match adj.outcome {
-        AdjudicatedOutcome::Completed => Ok(text),
-        AdjudicatedOutcome::Failed | AdjudicatedOutcome::Quarantined => Err(text),
-    })
+/// The verify-replay journal payload: a policy's rendered output line.
+struct LineCodec;
+
+impl PayloadCodec for LineCodec {
+    type Value = String;
+
+    fn encode(&self, line: &String, w: &mut ByteWriter) {
+        w.str(&clip(line));
+    }
+
+    fn decode(&self, _id: u64, r: &mut ByteReader<'_>) -> Result<String, CodecError> {
+        r.str()
+    }
 }
 
 /// The checkpoint/kill/resume determinism audit: each core policy runs the
@@ -163,161 +172,72 @@ fn verify_replay(cli: &Cli, stop: Option<&StopHandle>) -> Result<String, CliErro
         trace.phases.len()
     );
 
-    // Journal bring-up: on resume, policies the journal already
-    // adjudicates are merged instead of re-audited.
-    let tag = verify_tag(cli);
-    let mut records: BTreeMap<u64, Result<String, String>> = BTreeMap::new();
-    let journal: Option<JournalWriter> = match &cli.journal {
-        None => None,
-        Some(path) if cli.resume_sweep => {
-            let path = std::path::Path::new(path);
-            let (writer, recovery) = JournalWriter::resume(path, tag)
-                .map_err(|e| format!("cannot resume sweep journal {}: {e}", path.display()))?;
-            for w in recovery.warnings() {
-                eprintln!("verify-replay: warning: {w}");
+    let mut sweep = JournaledSweep::open(
+        &sweep_options(cli, stop),
+        verify_tag(cli),
+        &format!("verify-replay {}", trace.app),
+        policies.len() as u64,
+        LineCodec,
+    )
+    .map_err(String::from)?;
+    let pending = sweep.pending();
+    sweep.run_wave(&pending, |id| {
+        let policy = policies[id as usize].clone();
+        let trace = Arc::clone(&trace);
+        let config = config.clone();
+        Job::new(policy.name(), move |_ctx| {
+            let straight = System::new(config.clone(), &policy)
+                .run(&trace)
+                .map_err(|e| format!("straight run failed {e}"))?;
+            let mut buf = Vec::new();
+            {
+                let mut first = System::new(config.clone(), &policy);
+                first
+                    .run_prefix(&trace, midpoint)
+                    .map_err(|e| format!("prefix run failed {e}"))?;
+                first
+                    .checkpoint(&mut buf)
+                    .map_err(|e| format!("checkpoint failed {e}"))?;
             }
-            for (&id, adj) in &recovery.adjudicated {
-                if (id as usize) < policies.len() {
-                    records.insert(id, decode_policy_payload(adj)?);
-                } else {
-                    eprintln!(
-                        "verify-replay: warning: journal adjudicates policy index {id}, \
-                         beyond the audit; ignored"
-                    );
-                }
+            let mut resumed = System::resume(&mut buf.as_slice(), &trace)
+                .map_err(|e| format!("resume failed {e}"))?;
+            let report = resumed
+                .run(&trace)
+                .map_err(|e| format!("resumed run failed {e}"))?;
+            report
+                .check_digests_against(&straight)
+                .map_err(|e| e.to_string())?;
+            if !report.same_simulation(&straight) {
+                return Err("resumed report differs from the straight run".to_string());
             }
-            Some(writer)
-        }
-        Some(path) => {
-            let path = std::path::Path::new(path);
-            let label = format!("verify-replay {}", trace.app);
-            Some(
-                JournalWriter::create(path, tag, &label)
-                    .map_err(|e| format!("cannot create sweep journal {}: {e}", path.display()))?,
-            )
-        }
-    };
-    let journal = RefCell::new(journal);
-    let journal_failure: RefCell<Option<String>> = RefCell::new(None);
-    let stop = stop.cloned().unwrap_or_default();
-
-    // Only policies without a journaled verdict are dispatched; pool ids
-    // are remapped back through `pending` to policy indices.
-    let pending: Vec<u64> = (0..policies.len() as u64)
-        .filter(|id| !records.contains_key(id))
-        .collect();
-    let jobs: Vec<Job<String>> = pending
-        .iter()
-        .map(|&id| {
-            let policy = policies[id as usize].clone();
-            let trace = Arc::clone(&trace);
-            let config = config.clone();
-            Job::new(policy.name(), move |_ctx| {
-                let name = policy.name();
-                let straight = System::new(config.clone(), &policy)
-                    .run(&trace)
-                    .map_err(|e| format!("{name}: straight run failed {e}"))?;
-                let mut buf = Vec::new();
-                {
-                    let mut first = System::new(config.clone(), &policy);
-                    first
-                        .run_prefix(&trace, midpoint)
-                        .map_err(|e| format!("{name}: prefix run failed {e}"))?;
-                    first
-                        .checkpoint(&mut buf)
-                        .map_err(|e| format!("{name}: checkpoint failed {e}"))?;
-                }
-                let mut resumed = System::resume(&mut buf.as_slice(), &trace)
-                    .map_err(|e| format!("{name}: resume failed {e}"))?;
-                let report = resumed
-                    .run(&trace)
-                    .map_err(|e| format!("{name}: resumed run failed {e}"))?;
-                report
-                    .check_digests_against(&straight)
-                    .map_err(|e| format!("{name}: {e}"))?;
-                if !report.same_simulation(&straight) {
-                    return Err(format!(
-                        "{name}: resumed report differs from the straight run"
-                    ));
-                }
-                Ok(format!(
-                    "  {name:<16} OK  checkpoint {} bytes, {} epoch digests match\n",
-                    buf.len(),
-                    report.digest_trail.len()
-                ))
-            })
+            Ok(format!(
+                "  {:<16} OK  checkpoint {} bytes, {} epoch digests match\n",
+                policy.name(),
+                buf.len(),
+                report.digest_trail.len()
+            ))
         })
-        .collect();
-    let mut on_dispatch = |pool_id: u64, attempt: u32| {
-        if let Some(w) = journal.borrow_mut().as_mut() {
-            if let Err(e) = w.dispatched(pending[pool_id as usize], attempt) {
-                *journal_failure.borrow_mut() = Some(format!("sweep journal append failed: {e}"));
-                stop.stop();
-            }
-        }
-    };
-    let mut on_adjudicated = |rec: &oasis_engine::pool::JobRecord<String>| {
-        if let Some(w) = journal.borrow_mut().as_mut() {
-            let payload = match &rec.outcome {
-                JobOutcome::Completed(line) => line.clone(),
-                JobOutcome::Failed(JobError::Failed(msg)) => msg.clone(),
-                JobOutcome::Failed(e) | JobOutcome::Quarantined(e) => {
-                    format!("{}: job {e}", rec.label)
-                }
-            };
-            if let Err(e) = w.adjudicated(
-                pending[rec.id as usize],
-                AdjudicatedOutcome::of(&rec.outcome),
-                rec.attempts,
-                payload.as_bytes(),
-            ) {
-                *journal_failure.borrow_mut() = Some(format!("sweep journal append failed: {e}"));
-                stop.stop();
-            }
-        }
-    };
-    let ctrl = SweepControl {
-        stop: Some(stop.clone()),
-        on_dispatch: Some(&mut on_dispatch),
-        on_adjudicated: Some(&mut on_adjudicated),
-    };
-    let sweep = run_sweep_controlled(&pool_config(cli), jobs, ctrl);
-    for record in sweep.jobs {
-        let id = pending[record.id as usize];
-        let verdict = match record.outcome {
-            JobOutcome::Completed(line) => Ok(line),
-            JobOutcome::Failed(JobError::Failed(msg)) => Err(msg),
-            JobOutcome::Failed(e) | JobOutcome::Quarantined(e) => {
-                Err(format!("{}: job {e}", record.label))
-            }
-        };
-        records.insert(id, verdict);
+    });
+    let done = sweep.finish().map_err(String::from)?;
+    for w in &done.warnings {
+        eprintln!("verify-replay: warning: {w}");
     }
-    if sweep.interrupted {
-        if let Some(w) = journal.borrow_mut().as_mut() {
-            if let Err(e) = w.interrupted(records.len() as u64) {
-                eprintln!("verify-replay: warning: could not journal the Interrupted trailer: {e}");
-            }
-        }
-    }
-    if let Some(err) = journal_failure.into_inner() {
-        return Err(err.into());
-    }
-    if sweep.interrupted {
+    if done.interrupted {
         let journal_path = cli.journal.as_deref().unwrap_or("<journal>");
         return Err(CliError::Interrupted(format!(
             "verify-replay: drained after {}/{} policy audit(s); finish with: \
              oasis-sim verify-replay --app {} --journal {journal_path} --resume-sweep",
-            records.len(),
+            done.records.len(),
             policies.len(),
             cli.app.abbr(),
         )));
     }
-    for id in 0..policies.len() as u64 {
-        match records.get(&id) {
-            Some(Ok(line)) => out.push_str(line),
-            Some(Err(msg)) => return Err(msg.clone().into()),
-            None => unreachable!("an uninterrupted sweep adjudicates every policy"),
+    for (id, policy) in policies.iter().enumerate() {
+        match &done.records[&(id as u64)].outcome {
+            Outcome::Completed(line) => out.push_str(line),
+            Outcome::Lost { error, .. } => {
+                return Err(format!("{}: job {error}", policy.name()).into())
+            }
         }
     }
     out.push_str("all 4 policies replay bit-identically after kill/resume\n");
@@ -697,17 +617,8 @@ pub fn run_with_stop(cli: &Cli, stop: Option<StopHandle>) -> Result<String, CliE
         }
         Command::Inject => {
             let seed = cli.seed.unwrap_or(0);
-            let campaign = run_campaign_supervised(
-                seed,
-                &CampaignConfig {
-                    jobs: cli.jobs,
-                    deadline: cli.job_deadline_secs.map(std::time::Duration::from_secs),
-                    attempts: cli.job_attempts,
-                    journal: cli.journal.as_ref().map(std::path::PathBuf::from),
-                    resume_sweep: cli.resume_sweep,
-                    stop: stop.cloned(),
-                },
-            )?;
+            let campaign =
+                run_campaign_supervised(seed, &sweep_options(cli, stop)).map_err(String::from)?;
             for w in &campaign.warnings {
                 eprintln!("inject: warning: {w}");
             }

@@ -31,6 +31,7 @@ pub mod obs;
 pub mod pool;
 pub mod queue;
 pub mod rng;
+pub mod sweep;
 pub mod time;
 pub mod trace;
 
@@ -59,6 +60,9 @@ pub use pool::{
 };
 pub use queue::{Event, EventQueue};
 pub use rng::SimRng;
+pub use sweep::{
+    JournaledSweep, Outcome, PayloadCodec, Record, SweepError, SweepOptions, SweepResult,
+};
 pub use time::{Duration, Time};
 pub use trace::{
     chrome_trace_json, Endpoint, NullTracer, RingTracer, TimedEvent, TraceEvent, Tracer,

@@ -29,16 +29,12 @@ pub mod oracle;
 pub mod scenario;
 pub mod shrink;
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use oasis_engine::codec::{ByteReader, ByteWriter};
-use oasis_engine::journal::{AdjudicatedOutcome, Adjudication, JournalWriter, Recovery};
-use oasis_engine::pool::{
-    run_sweep_controlled, Job, JobOutcome, PoolConfig, StopHandle, SweepControl,
-};
+use oasis_engine::codec::{ByteReader, ByteWriter, CodecError};
+use oasis_engine::pool::{Job, StopHandle};
+use oasis_engine::sweep::{clip, JournaledSweep, Outcome, PayloadCodec, SweepOptions};
 use oasis_engine::{fnv1a, SimRng};
 
 pub use corpus::{
@@ -113,6 +109,18 @@ impl FuzzOptions {
             )
             .as_bytes(),
         )
+    }
+
+    /// The shared supervision and journal knobs of this session.
+    fn sweep_options(&self) -> SweepOptions {
+        SweepOptions {
+            jobs: self.jobs,
+            deadline: self.deadline,
+            attempts: self.attempts,
+            journal: self.journal.clone(),
+            resume_sweep: self.resume_sweep,
+            stop: self.stop.clone(),
+        }
     }
 }
 
@@ -207,89 +215,36 @@ impl FuzzReport {
     }
 }
 
-/// One case's terminal state, as adjudicated by the pool or replayed
-/// from a journal.
-enum CaseOutcome {
-    /// The oracle found nothing.
-    Clean,
-    /// The oracle reported a violation.
-    Violation(Violation),
-    /// The *job* was lost to supervision (panic/deadline/retries).
-    Lost {
-        /// The supervision error, rendered.
-        error: String,
-        /// Whether the worker was crashed/wedged (vs a typed failure).
-        quarantined: bool,
-    },
-}
+/// The fuzz sweep's journal payload: a case's oracle verdict.
+struct CaseCodec;
 
-/// A case outcome plus the attempts it consumed.
-struct CaseRecord {
-    outcome: CaseOutcome,
-    attempts: u32,
-}
+impl PayloadCodec for CaseCodec {
+    type Value = Option<Violation>;
 
-/// Journal payloads keep violation details and error strings bounded so
-/// one pathological message cannot overflow the u16 string prefix.
-const PAYLOAD_CLIP_CHARS: usize = 2048;
-
-fn clip(s: &str) -> String {
-    if s.len() <= PAYLOAD_CLIP_CHARS {
-        s.to_string()
-    } else {
-        s.chars().take(PAYLOAD_CLIP_CHARS).collect()
-    }
-}
-
-/// Encodes a pool outcome into the opaque `Adjudicated` journal payload.
-fn encode_case_payload(outcome: &JobOutcome<Option<Violation>>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match outcome {
-        JobOutcome::Completed(None) => w.u8(0),
-        JobOutcome::Completed(Some(v)) => {
-            w.u8(1);
-            w.str(v.kind.as_str());
-            w.str(&clip(&v.detail));
+    fn encode(&self, verdict: &Option<Violation>, w: &mut ByteWriter) {
+        match verdict {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                w.str(v.kind.as_str());
+                w.str(&clip(&v.detail));
+            }
         }
-        JobOutcome::Failed(e) | JobOutcome::Quarantined(e) => w.str(&clip(&e.to_string())),
     }
-    w.into_vec()
-}
 
-/// Decodes one journaled adjudication back into a case record.
-fn decode_case_payload(case: u64, adj: &Adjudication) -> Result<CaseRecord, String> {
-    let mut r = ByteReader::new("fuzz-journal-case", &adj.payload);
-    let ctx = |e: oasis_engine::CodecError| format!("journaled case {case} is undecodable: {e}");
-    let outcome = match adj.outcome {
-        AdjudicatedOutcome::Completed => match r.u8().map_err(ctx)? {
-            0 => CaseOutcome::Clean,
+    fn decode(&self, _case: u64, r: &mut ByteReader<'_>) -> Result<Self::Value, CodecError> {
+        match r.u8()? {
+            0 => Ok(None),
             1 => {
-                let kind_str = r.str().map_err(ctx)?;
-                let kind = OracleKind::parse(&kind_str).ok_or_else(|| {
-                    format!("journaled case {case} names unknown oracle kind '{kind_str}'")
-                })?;
-                let detail = r.str().map_err(ctx)?;
-                CaseOutcome::Violation(Violation { kind, detail })
+                let kind_str = r.str()?;
+                let kind = OracleKind::parse(&kind_str)
+                    .ok_or_else(|| r.malformed(format!("unknown oracle kind '{kind_str}'")))?;
+                let detail = r.str()?;
+                Ok(Some(Violation { kind, detail }))
             }
-            b => {
-                return Err(format!(
-                    "journaled case {case} has bad verdict byte {b:#04x}"
-                ))
-            }
-        },
-        AdjudicatedOutcome::Failed => CaseOutcome::Lost {
-            error: r.str().map_err(ctx)?,
-            quarantined: false,
-        },
-        AdjudicatedOutcome::Quarantined => CaseOutcome::Lost {
-            error: r.str().map_err(ctx)?,
-            quarantined: true,
-        },
-    };
-    Ok(CaseRecord {
-        outcome,
-        attempts: adj.attempts,
-    })
+            b => Err(r.malformed(format!("bad verdict byte {b:#04x}"))),
+        }
+    }
 }
 
 /// Runs a fuzzing session: all cases fan out over the supervised pool
@@ -316,70 +271,28 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, String> {
     let mut master = SimRng::seed_from_u64(opts.seed);
     let case_seeds: Vec<u64> = (0..opts.cases).map(|_| master.next_u64()).collect();
 
-    // Journal setup: fresh create, or recover-and-resume. Adjudications
-    // salvaged from the journal seed the outcome map; those cases are
-    // never dispatched again.
-    let mut warnings: Vec<String> = Vec::new();
-    let mut outcomes: BTreeMap<u64, CaseRecord> = BTreeMap::new();
-    let tag = opts.sweep_tag();
-    let journal: Option<JournalWriter> = match &opts.journal {
-        None => None,
-        Some(path) if opts.resume_sweep => {
-            let (writer, recovery): (JournalWriter, Recovery) = JournalWriter::resume(path, tag)
-                .map_err(|e| format!("cannot resume sweep journal {}: {e}", path.display()))?;
-            warnings.extend(recovery.warnings());
-            for (&case, adj) in &recovery.adjudicated {
-                if case < opts.cases {
-                    outcomes.insert(case, decode_case_payload(case, adj)?);
-                } else {
-                    warnings.push(format!(
-                        "journal adjudicates case {case}, beyond cases={}; ignored",
-                        opts.cases
-                    ));
-                }
-            }
-            Some(writer)
-        }
-        Some(path) => {
-            let label = format!("fuzz seed={} cases={}", opts.seed, opts.cases);
-            Some(
-                JournalWriter::create(path, tag, &label)
-                    .map_err(|e| format!("cannot create sweep journal {}: {e}", path.display()))?,
-            )
-        }
-    };
-    let resumed_cases = outcomes.len() as u64;
-    let journal = RefCell::new(journal);
-    let journal_failure: RefCell<Option<String>> = RefCell::new(None);
-    // The stop handle serves two masters: the caller's signal handler,
-    // and the journal itself — an append failure stops the sweep rather
-    // than silently running on without durability.
-    let stop = opts.stop.clone().unwrap_or_default();
+    let label = format!("fuzz seed={} cases={}", opts.seed, opts.cases);
+    let mut sweep = JournaledSweep::open(
+        &opts.sweep_options(),
+        opts.sweep_tag(),
+        &label,
+        opts.cases,
+        CaseCodec,
+    )?;
 
-    let pool = PoolConfig {
-        workers: opts.jobs.max(1),
-        deadline: opts.deadline,
-        max_attempts: opts.attempts.max(1),
-        ..PoolConfig::default()
-    };
-    // With no time budget, dispatch everything as one sweep: every case
+    // With no time budget, dispatch everything as one wave: every case
     // runs, so the report is byte-identical at any `jobs`. With a budget,
     // dispatch in waves of a *constant* size — never derived from the
     // worker count — so the wave layout (and therefore which boundary the
     // budget can cut at) is also independent of `jobs`; how many waves
     // fit inside the budget still depends on wall-clock speed.
     const BUDGET_WAVE: usize = 32;
-    let remaining: Vec<u64> = (0..opts.cases)
-        .filter(|case| !outcomes.contains_key(case))
-        .collect();
+    let remaining = sweep.pending();
     let wave = if opts.time_budget.is_some() {
         BUDGET_WAVE
     } else {
         remaining.len().max(1)
     };
-
-    let mut workers_respawned = 0u64;
-    let mut interrupted = false;
     for chunk in remaining.chunks(wave) {
         if opts
             .time_budget
@@ -387,105 +300,31 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, String> {
         {
             break;
         }
-        if stop.is_stopped() {
-            interrupted = true;
-            break;
-        }
-        let jobs: Vec<Job<Option<Violation>>> = chunk
-            .iter()
-            .map(|&case| {
-                let seed = case_seeds[case as usize];
-                Job::new(format!("case-{case}"), move |_ctx| {
-                    Ok(check(&Scenario::generate(seed)))
-                })
+        let more = sweep.run_wave(chunk, |case| {
+            let seed = case_seeds[case as usize];
+            Job::new(format!("case-{case}"), move |_ctx| {
+                Ok(check(&Scenario::generate(seed)))
             })
-            .collect();
-        // Pool job ids are wave-local; the observers translate them back
-        // to sweep-level case indices before journaling.
-        let mut on_dispatch = |pool_id: u64, attempt: u32| {
-            if let Some(w) = journal.borrow_mut().as_mut() {
-                if let Err(e) = w.dispatched(chunk[pool_id as usize], attempt) {
-                    *journal_failure.borrow_mut() =
-                        Some(format!("sweep journal append failed: {e}"));
-                    stop.stop();
-                }
-            }
-        };
-        let mut on_adjudicated = |rec: &oasis_engine::pool::JobRecord<Option<Violation>>| {
-            if let Some(w) = journal.borrow_mut().as_mut() {
-                let payload = encode_case_payload(&rec.outcome);
-                if let Err(e) = w.adjudicated(
-                    chunk[rec.id as usize],
-                    AdjudicatedOutcome::of(&rec.outcome),
-                    rec.attempts,
-                    &payload,
-                ) {
-                    *journal_failure.borrow_mut() =
-                        Some(format!("sweep journal append failed: {e}"));
-                    stop.stop();
-                }
-            }
-        };
-        let ctrl = SweepControl {
-            stop: Some(stop.clone()),
-            on_dispatch: Some(&mut on_dispatch),
-            on_adjudicated: Some(&mut on_adjudicated),
-        };
-        let sweep = run_sweep_controlled(&pool, jobs, ctrl);
-        workers_respawned += sweep.workers_respawned;
-        for record in sweep.jobs {
-            let case = chunk[record.id as usize];
-            let attempts = record.attempts;
-            let outcome = match record.outcome {
-                JobOutcome::Completed(None) => CaseOutcome::Clean,
-                JobOutcome::Completed(Some(violation)) => CaseOutcome::Violation(violation),
-                JobOutcome::Failed(e) => CaseOutcome::Lost {
-                    error: e.to_string(),
-                    quarantined: false,
-                },
-                JobOutcome::Quarantined(e) => CaseOutcome::Lost {
-                    error: e.to_string(),
-                    quarantined: true,
-                },
-            };
-            outcomes.insert(case, CaseRecord { outcome, attempts });
-        }
-        if sweep.interrupted {
-            interrupted = true;
+        });
+        if !more {
             break;
         }
     }
+    let done = sweep.finish()?;
 
-    if interrupted {
-        // Clean-drain trailer: marks the journal deliberately incomplete
-        // so a resume knows the previous process exited on purpose.
-        if let Some(w) = journal.borrow_mut().as_mut() {
-            if let Err(e) = w.interrupted(outcomes.len() as u64) {
-                warnings.push(format!("could not journal the Interrupted trailer: {e}"));
-            }
-        }
-    }
-    if let Some(err) = journal_failure.into_inner() {
-        return Err(err);
-    }
-
-    // Collect in case order — `outcomes` is keyed by case index, so a
+    // Collect in case order — records are keyed by case index, so a
     // resumed sweep interleaves journaled and fresh results correctly.
-    let mut cases_run = 0u64;
     let mut violations = Vec::new();
     let mut job_failures = Vec::new();
-    let mut retries = 0u64;
-    for (&case, rec) in &outcomes {
-        cases_run += 1;
-        retries += u64::from(rec.attempts.saturating_sub(1));
+    for (&case, rec) in &done.records {
         match &rec.outcome {
-            CaseOutcome::Clean => {}
-            CaseOutcome::Violation(violation) => violations.push(CaseViolation {
+            Outcome::Completed(None) => {}
+            Outcome::Completed(Some(violation)) => violations.push(CaseViolation {
                 case_index: case,
                 scenario: Scenario::generate(case_seeds[case as usize]),
                 violation: violation.clone(),
             }),
-            CaseOutcome::Lost { error, quarantined } => job_failures.push(JobFailure {
+            Outcome::Lost { error, quarantined } => job_failures.push(JobFailure {
                 case_index: case,
                 scenario_seed: case_seeds[case as usize],
                 error: error.clone(),
@@ -499,7 +338,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, String> {
     // is the actionable artifact; the full tally stays in the report.
     // A drained sweep skips shrinking — the resume will do it with the
     // complete picture.
-    let failure = if interrupted {
+    let failure = if done.interrupted {
         None
     } else {
         violations.first().map(|first| {
@@ -519,16 +358,16 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, String> {
     };
 
     Ok(FuzzReport {
-        cases_run,
+        cases_run: done.records.len() as u64,
         elapsed: started.elapsed(),
         violations,
         failure,
         job_failures,
-        retries,
-        workers_respawned,
-        resumed_cases,
-        interrupted,
-        warnings,
+        retries: done.retries,
+        workers_respawned: done.workers_respawned,
+        resumed_cases: done.resumed,
+        interrupted: done.interrupted,
+        warnings: done.warnings,
     })
 }
 
@@ -645,38 +484,29 @@ mod tests {
 
     #[test]
     fn case_payloads_round_trip_through_the_journal_encoding() {
-        use oasis_engine::pool::JobError;
-        let cases: Vec<JobOutcome<Option<Violation>>> = vec![
-            JobOutcome::Completed(None),
-            JobOutcome::Completed(Some(Violation {
+        let verdicts = [
+            None,
+            Some(Violation {
                 kind: OracleKind::Panic,
                 detail: "boom".to_string(),
-            })),
-            JobOutcome::Failed(JobError::Failed("typed".to_string())),
-            JobOutcome::Quarantined(JobError::Panicked("crash".to_string())),
+            }),
         ];
-        for (i, outcome) in cases.iter().enumerate() {
-            let adj = Adjudication {
-                outcome: AdjudicatedOutcome::of(outcome),
-                attempts: 2,
-                payload: encode_case_payload(outcome),
-            };
-            let rec = decode_case_payload(i as u64, &adj).expect("decode");
-            assert_eq!(rec.attempts, 2);
-            match (outcome, &rec.outcome) {
-                (JobOutcome::Completed(None), CaseOutcome::Clean) => {}
-                (JobOutcome::Completed(Some(v)), CaseOutcome::Violation(d)) => {
-                    assert_eq!(v.kind, d.kind);
-                    assert_eq!(v.detail, d.detail);
-                }
-                (JobOutcome::Failed(_), CaseOutcome::Lost { quarantined, .. }) => {
-                    assert!(!quarantined);
-                }
-                (JobOutcome::Quarantined(_), CaseOutcome::Lost { quarantined, .. }) => {
-                    assert!(quarantined);
-                }
-                _ => panic!("case {i}: outcome changed shape through the journal"),
-            }
+        for (i, verdict) in verdicts.iter().enumerate() {
+            let mut w = ByteWriter::new();
+            CaseCodec.encode(verdict, &mut w);
+            let decoded = CaseCodec
+                .decode(i as u64, &mut ByteReader::new("test", w.as_slice()))
+                .expect("decode");
+            let shape = |v: &Option<Violation>| v.as_ref().map(|v| (v.kind, v.detail.clone()));
+            assert_eq!(
+                shape(&decoded),
+                shape(verdict),
+                "case {i} changed shape through the journal"
+            );
         }
+        let err = CaseCodec
+            .decode(0, &mut ByteReader::new("test", &[7]))
+            .expect_err("bad verdict byte");
+        assert!(err.to_string().contains("0x07"), "{err}");
     }
 }

@@ -15,8 +15,12 @@ use oasis_fuzz::{report_json, run_fuzz, FuzzOptions};
 const MASTER_SEED: u64 = 0xFA57;
 const CASES: u64 = 5;
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oasis-fuzz-resume-{}", std::process::id()));
+/// A directory owned by one test alone (pid + test name): tests run on
+/// parallel threads, so a shared directory would be removed under the
+/// feet of whichever test finishes last.
+fn temp_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("oasis-fuzz-resume-{}-{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
 }
@@ -41,14 +45,13 @@ fn deterministic_json(o: &FuzzOptions) -> String {
 
 #[test]
 fn resuming_a_partial_journal_skips_done_cases_and_matches_byte_for_byte() {
-    let dir = temp_dir();
+    let dir = temp_dir("partial");
 
     // Reference: the same sweep with no journal at all.
     let reference = deterministic_json(&opts(None, false, 1));
 
     // Full journaled run, to harvest genuine adjudication payloads.
     let full_path = dir.join("full.jnl");
-    std::fs::remove_file(&full_path).ok();
     let full_json = deterministic_json(&opts(Some(full_path.clone()), false, 2));
     assert_eq!(
         reference, full_json,
@@ -61,7 +64,6 @@ fn resuming_a_partial_journal_skips_done_cases_and_matches_byte_for_byte() {
     // Craft the "killed" journal: Begin + the first 2 adjudications + a
     // clean Interrupted trailer, exactly what a drained sweep leaves.
     let partial_path = dir.join("partial.jnl");
-    std::fs::remove_file(&partial_path).ok();
     let mut w =
         JournalWriter::create(&partial_path, full.tag, &full.label).expect("create partial");
     for (&id, adj) in full.adjudicated.iter().take(2) {
@@ -111,9 +113,8 @@ fn resuming_a_partial_journal_skips_done_cases_and_matches_byte_for_byte() {
 
 #[test]
 fn resuming_a_fully_adjudicated_journal_runs_nothing_new() {
-    let dir = temp_dir();
+    let dir = temp_dir("complete");
     let path = dir.join("complete.jnl");
-    std::fs::remove_file(&path).ok();
     let reference = deterministic_json(&opts(None, false, 1));
     deterministic_json(&opts(Some(path.clone()), false, 1));
 
@@ -141,14 +142,13 @@ fn resuming_a_fully_adjudicated_journal_runs_nothing_new() {
         .count();
     assert_eq!(dispatches_before, dispatches_after);
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resuming_with_the_wrong_parameters_is_a_typed_refusal() {
-    let dir = temp_dir();
+    let dir = temp_dir("wrong-tag");
     let path = dir.join("tagged.jnl");
-    std::fs::remove_file(&path).ok();
     deterministic_json(&opts(Some(path.clone()), false, 1));
 
     // Same journal, different case count → different sweep tag → error,
@@ -159,5 +159,5 @@ fn resuming_with_the_wrong_parameters_is_a_typed_refusal() {
     let err = run_fuzz(&wrong).expect_err("tag mismatch must refuse");
     assert!(err.contains("journal"), "{err}");
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

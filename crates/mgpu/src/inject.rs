@@ -9,7 +9,8 @@
 //! master seed through the in-tree [`SimRng`], so a campaign's full output
 //! is a pure function of that seed: any failure replays exactly.
 
-use oasis_engine::SimRng;
+use oasis_engine::sweep::{clip, JournaledSweep, Outcome, PayloadCodec, SweepError, SweepOptions};
+use oasis_engine::{ByteReader, ByteWriter, CodecError, SimRng};
 use oasis_interconnect::FaultPlan;
 use oasis_mem::layout::AddressSpace;
 use oasis_mem::page::PolicyBits;
@@ -356,37 +357,6 @@ fn run_one(kind: Perturbation, seed: u64) -> InjectionOutcome {
     }
 }
 
-/// Supervision knobs for a campaign sweep.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Worker threads (1 = the classic serial campaign).
-    pub jobs: usize,
-    /// Per-scenario wall-clock deadline.
-    pub deadline: Option<std::time::Duration>,
-    /// Attempts per scenario before it counts as a job failure.
-    pub attempts: u32,
-    /// Write-ahead sweep journal: dispatches and outcomes are fsync'd
-    /// here so a killed campaign can be resumed.
-    pub journal: Option<std::path::PathBuf>,
-    /// Resume from the journal instead of re-running adjudicated kinds.
-    pub resume_sweep: bool,
-    /// Cooperative stop: raised by a signal handler to drain the sweep.
-    pub stop: Option<oasis_engine::StopHandle>,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            jobs: 1,
-            deadline: None,
-            attempts: 1,
-            journal: None,
-            resume_sweep: false,
-            stop: None,
-        }
-    }
-}
-
 /// A campaign run under the supervised pool: outcomes stay in kind order
 /// and scenarios lost to supervision are synthesized as `ok == false`
 /// outcomes, so the report shape is stable whatever happens.
@@ -451,70 +421,34 @@ fn campaign_tag(master_seed: u64) -> u64 {
     oasis_engine::fnv1a(format!("oasis-inject-campaign-v1 seed={master_seed}").as_bytes())
 }
 
-/// One kind's adjudicated end state, live or replayed from a journal.
-enum KindOutcome {
-    Completed(InjectionOutcome),
-    Lost { error: String, quarantined: bool },
-}
+/// The campaign's journal payload: a kind's outcome line.
+struct KindCodec;
 
-struct KindRecord {
-    outcome: KindOutcome,
-    attempts: u32,
-}
+impl PayloadCodec for KindCodec {
+    type Value = InjectionOutcome;
 
-/// Encodes an adjudicated campaign outcome into the journal payload.
-fn encode_kind_payload(outcome: &oasis_engine::JobOutcome<InjectionOutcome>) -> Vec<u8> {
-    let mut w = oasis_engine::ByteWriter::new();
-    match outcome {
-        oasis_engine::JobOutcome::Completed(o) => {
-            w.u64(o.seed);
-            w.bool(o.ok);
-            w.str(&o.line);
-        }
-        oasis_engine::JobOutcome::Failed(e) | oasis_engine::JobOutcome::Quarantined(e) => {
-            w.str(&e.to_string());
-        }
+    fn encode(&self, o: &InjectionOutcome, w: &mut ByteWriter) {
+        w.u64(o.seed);
+        w.bool(o.ok);
+        w.str(&clip(&o.line));
     }
-    w.into_vec()
-}
 
-/// Decodes one journaled adjudication back into a kind record.
-fn decode_kind_payload(
-    kind: Perturbation,
-    adj: &oasis_engine::Adjudication,
-) -> Result<KindRecord, String> {
-    let mut r = oasis_engine::ByteReader::new("inject-journal-kind", &adj.payload);
-    let ctx = |e: oasis_engine::CodecError| {
-        format!("journaled outcome for {} is undecodable: {e}", kind.name())
-    };
-    let outcome = match adj.outcome {
-        oasis_engine::AdjudicatedOutcome::Completed => KindOutcome::Completed(InjectionOutcome {
-            kind,
-            seed: r.u64().map_err(ctx)?,
-            ok: r.bool().map_err(ctx)?,
-            line: r.str().map_err(ctx)?,
-        }),
-        oasis_engine::AdjudicatedOutcome::Failed => KindOutcome::Lost {
-            error: r.str().map_err(ctx)?,
-            quarantined: false,
-        },
-        oasis_engine::AdjudicatedOutcome::Quarantined => KindOutcome::Lost {
-            error: r.str().map_err(ctx)?,
-            quarantined: true,
-        },
-    };
-    Ok(KindRecord {
-        outcome,
-        attempts: adj.attempts,
-    })
+    fn decode(&self, id: u64, r: &mut ByteReader<'_>) -> Result<InjectionOutcome, CodecError> {
+        Ok(InjectionOutcome {
+            kind: Perturbation::ALL[id as usize],
+            seed: r.u64()?,
+            ok: r.bool()?,
+            line: r.str()?,
+        })
+    }
 }
 
 /// Runs the full campaign — one scenario per [`Perturbation`] kind — with
 /// every random choice derived from `master_seed`, fanned out over the
 /// supervised pool. Outcome content is a deterministic function of the
 /// seed alone: `jobs` changes wall-clock, never the report. With
-/// [`CampaignConfig::journal`] set, progress is journaled write-ahead and
-/// [`CampaignConfig::resume_sweep`] merges a killed campaign's
+/// [`SweepOptions::journal`] set, progress is journaled write-ahead and
+/// [`SweepOptions::resume_sweep`] merges a killed campaign's
 /// adjudicated kinds instead of re-running them.
 ///
 /// # Errors
@@ -523,135 +457,33 @@ fn decode_kind_payload(
 /// payload, append failure); scenario failures stay inside the report.
 pub fn run_campaign_supervised(
     master_seed: u64,
-    config: &CampaignConfig,
-) -> Result<CampaignReport, String> {
-    use std::cell::RefCell;
-
+    opts: &SweepOptions,
+) -> Result<CampaignReport, SweepError> {
     let seeds = campaign_seeds(master_seed);
-    let tag = campaign_tag(master_seed);
-
-    let mut warnings: Vec<String> = Vec::new();
-    let mut records: std::collections::BTreeMap<u64, KindRecord> =
-        std::collections::BTreeMap::new();
-    let journal: Option<oasis_engine::JournalWriter> = match &config.journal {
-        None => None,
-        Some(path) if config.resume_sweep => {
-            let (writer, recovery) = oasis_engine::JournalWriter::resume(path, tag)
-                .map_err(|e| format!("cannot resume campaign journal {}: {e}", path.display()))?;
-            warnings.extend(recovery.warnings());
-            for (&id, adj) in &recovery.adjudicated {
-                match Perturbation::ALL.get(id as usize) {
-                    Some(&kind) => {
-                        records.insert(id, decode_kind_payload(kind, adj)?);
-                    }
-                    None => warnings.push(format!(
-                        "journal adjudicates kind index {id}, beyond the campaign; ignored"
-                    )),
-                }
-            }
-            Some(writer)
-        }
-        Some(path) => {
-            let label = format!("inject seed={master_seed}");
-            Some(
-                oasis_engine::JournalWriter::create(path, tag, &label).map_err(|e| {
-                    format!("cannot create campaign journal {}: {e}", path.display())
-                })?,
-            )
-        }
-    };
-    let resumed = records.len() as u64;
-    let journal = RefCell::new(journal);
-    let journal_failure: RefCell<Option<String>> = RefCell::new(None);
-    let stop = config.stop.clone().unwrap_or_default();
-
-    let pool = oasis_engine::PoolConfig {
-        workers: config.jobs.max(1),
-        deadline: config.deadline,
-        max_attempts: config.attempts.max(1),
-        ..oasis_engine::PoolConfig::default()
-    };
-    // Only kinds without a journaled outcome are dispatched; pool ids are
-    // remapped back through `pending` to campaign kind indices.
-    let pending: Vec<u64> = (0..Perturbation::ALL.len() as u64)
-        .filter(|id| !records.contains_key(id))
-        .collect();
-    let jobs: Vec<oasis_engine::Job<InjectionOutcome>> = pending
-        .iter()
-        .map(|&id| {
-            let kind = Perturbation::ALL[id as usize];
-            let seed = seeds[id as usize];
-            oasis_engine::Job::new(kind.name(), move |_ctx| Ok(run_one(kind, seed)))
-        })
-        .collect();
-    let mut on_dispatch = |pool_id: u64, attempt: u32| {
-        if let Some(w) = journal.borrow_mut().as_mut() {
-            if let Err(e) = w.dispatched(pending[pool_id as usize], attempt) {
-                *journal_failure.borrow_mut() =
-                    Some(format!("campaign journal append failed: {e}"));
-                stop.stop();
-            }
-        }
-    };
-    let mut on_adjudicated = |rec: &oasis_engine::JobRecord<InjectionOutcome>| {
-        if let Some(w) = journal.borrow_mut().as_mut() {
-            let payload = encode_kind_payload(&rec.outcome);
-            if let Err(e) = w.adjudicated(
-                pending[rec.id as usize],
-                oasis_engine::AdjudicatedOutcome::of(&rec.outcome),
-                rec.attempts,
-                &payload,
-            ) {
-                *journal_failure.borrow_mut() =
-                    Some(format!("campaign journal append failed: {e}"));
-                stop.stop();
-            }
-        }
-    };
-    let ctrl = oasis_engine::SweepControl {
-        stop: Some(stop.clone()),
-        on_dispatch: Some(&mut on_dispatch),
-        on_adjudicated: Some(&mut on_adjudicated),
-    };
-    let sweep = oasis_engine::run_sweep_controlled(&pool, jobs, ctrl);
-    for record in sweep.jobs {
-        let id = pending[record.id as usize];
-        let attempts = record.attempts;
-        let outcome = match record.outcome {
-            oasis_engine::JobOutcome::Completed(o) => KindOutcome::Completed(o),
-            oasis_engine::JobOutcome::Failed(e) => KindOutcome::Lost {
-                error: e.to_string(),
-                quarantined: false,
-            },
-            oasis_engine::JobOutcome::Quarantined(e) => KindOutcome::Lost {
-                error: e.to_string(),
-                quarantined: true,
-            },
-        };
-        records.insert(id, KindRecord { outcome, attempts });
-    }
-    if sweep.interrupted {
-        if let Some(w) = journal.borrow_mut().as_mut() {
-            if let Err(e) = w.interrupted(records.len() as u64) {
-                warnings.push(format!("could not journal the Interrupted trailer: {e}"));
-            }
-        }
-    }
-    if let Some(err) = journal_failure.into_inner() {
-        return Err(err);
-    }
+    let mut sweep = JournaledSweep::open(
+        opts,
+        campaign_tag(master_seed),
+        &format!("inject seed={master_seed}"),
+        Perturbation::ALL.len() as u64,
+        KindCodec,
+    )?;
+    let pending = sweep.pending();
+    sweep.run_wave(&pending, |id| {
+        let kind = Perturbation::ALL[id as usize];
+        let seed = seeds[id as usize];
+        oasis_engine::Job::new(kind.name(), move |_ctx| Ok(run_one(kind, seed)))
+    });
+    let done = sweep.finish()?;
 
     let mut outcomes = Vec::with_capacity(Perturbation::ALL.len());
     let mut job_failures = Vec::new();
     let mut quarantined = Vec::new();
-    let mut retries = 0u64;
-    for (&id, rec) in &records {
+    for (&id, rec) in &done.records {
         let kind = Perturbation::ALL[id as usize];
         let seed = seeds[id as usize];
-        retries += u64::from(rec.attempts.saturating_sub(1));
         match &rec.outcome {
-            KindOutcome::Completed(outcome) => outcomes.push(outcome.clone()),
-            KindOutcome::Lost {
+            Outcome::Completed(outcome) => outcomes.push(outcome.clone()),
+            Outcome::Lost {
                 error,
                 quarantined: was_quarantined,
             } => {
@@ -679,18 +511,18 @@ pub fn run_campaign_supervised(
         outcomes,
         job_failures,
         quarantined,
-        retries,
-        workers_respawned: sweep.workers_respawned,
-        resumed,
-        interrupted: sweep.interrupted,
-        warnings,
+        retries: done.retries,
+        workers_respawned: done.workers_respawned,
+        resumed: done.resumed,
+        interrupted: done.interrupted,
+        warnings: done.warnings,
     })
 }
 
 /// Serial convenience wrapper around [`run_campaign_supervised`]: the
 /// classic one-thread campaign returning just the outcomes.
 pub fn run_campaign(master_seed: u64) -> Vec<InjectionOutcome> {
-    run_campaign_supervised(master_seed, &CampaignConfig::default())
+    run_campaign_supervised(master_seed, &SweepOptions::default())
         .expect("an unjournaled campaign cannot fail")
         .outcomes
 }
@@ -781,7 +613,7 @@ mod tests {
 
     #[test]
     fn expected_abort_counts_as_a_pass() {
-        let report = run_campaign_supervised(42, &CampaignConfig::default())
+        let report = run_campaign_supervised(42, &SweepOptions::default())
             .expect("an unjournaled campaign cannot fail");
         assert!(report.passed(), "healthy campaign must pass");
         assert!(report.job_failures.is_empty());
@@ -799,13 +631,13 @@ mod tests {
 
     #[test]
     fn parallel_campaign_matches_the_serial_one() {
-        let serial = run_campaign_supervised(7, &CampaignConfig::default())
+        let serial = run_campaign_supervised(7, &SweepOptions::default())
             .expect("an unjournaled campaign cannot fail");
         let parallel = run_campaign_supervised(
             7,
-            &CampaignConfig {
+            &SweepOptions {
                 jobs: 3,
-                ..CampaignConfig::default()
+                ..SweepOptions::default()
             },
         )
         .expect("an unjournaled campaign cannot fail");

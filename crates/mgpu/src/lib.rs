@@ -25,8 +25,7 @@ pub mod system;
 
 pub use config::{GuardMode, Placement, Policy, SystemConfig};
 pub use inject::{
-    run_campaign, run_campaign_supervised, CampaignConfig, CampaignReport, InjectionOutcome,
-    Perturbation,
+    run_campaign, run_campaign_supervised, CampaignReport, InjectionOutcome, Perturbation,
 };
 pub use oasis_interconnect::{FaultCounters, FaultPlan};
 pub use report::{EpochRollup, RunInstrumentation, RunReport};

@@ -70,6 +70,28 @@ cargo check -q --workspace --benches --features oasis-bench/bench-harness
 step "checkpoint/resume determinism (verify-replay)"
 cargo run -q --release -p oasis-cli -- verify-replay --app C2D --footprint-mb 4
 
+step "journaled verify-replay resume (byte-identical, nothing re-dispatched)"
+if [ "$STRICT" = "1" ]; then
+    # A finished journaled audit resumed: every policy is merged from the
+    # journal, so stdout must cmp equal and the journal must not grow —
+    # an unchanged file is proof that no Dispatched record was appended.
+    VR_DIR="$(mktemp -d)"
+    ./target/release/oasis-sim verify-replay --app C2D --footprint-mb 4 \
+        --journal "$VR_DIR/vr.jnl" > "$VR_DIR/straight.txt"
+    cp "$VR_DIR/vr.jnl" "$VR_DIR/before.jnl"
+    ./target/release/oasis-sim verify-replay --app C2D --footprint-mb 4 \
+        --journal "$VR_DIR/vr.jnl" --resume-sweep > "$VR_DIR/resumed.txt"
+    cmp "$VR_DIR/straight.txt" "$VR_DIR/resumed.txt"
+    cmp "$VR_DIR/before.jnl" "$VR_DIR/vr.jnl" || {
+        echo "verify-replay resume: the resumed run appended to the journal" >&2
+        exit 1
+    }
+    echo "resumed verify-replay is byte-identical and dispatched nothing"
+    rm -rf "$VR_DIR"
+else
+    echo "developer mode (CI_STRICT unset); skipping the verify-replay resume gate"
+fi
+
 step "trace determinism (same seed, byte-identical chrome trace)"
 T1="$(mktemp)" T2="$(mktemp)"
 trap 'rm -f "$T1" "$T2"' EXIT
