@@ -82,9 +82,9 @@ OPTIONS:
     --top <N>               stats: rows per breakdown table [default: 20]
     --runs <N>              bench-smoke: runs per cell, best taken [default: 3]
     --matrix <NAME>         bench-smoke: cell matrix — full (every app x
-                            the four core policies) or quick (the
-                            historical C2D/MM x on-touch/oasis four
-                            cells)                    [default: full]
+                            the four core policies) or quick (its
+                            C2D/MM x on-touch/oasis four cells)
+                                                      [default: full]
     --bench-out <FILE>      bench-smoke: result file [default: BENCH_pr8.json]
     --baseline <FILE>       bench-smoke: baseline to gate against
                             [default: the previous --bench-out file]
@@ -244,7 +244,7 @@ pub struct Cli {
     /// Runs per `bench-smoke` cell (best is kept).
     pub runs: usize,
     /// `bench-smoke` matrix selection: "full" (all apps x core policies)
-    /// or "quick" (the historical C2D/MM x on-touch/oasis four cells).
+    /// or "quick" (its C2D/MM x on-touch/oasis four cells).
     pub matrix: String,
     /// `bench-smoke` result file.
     pub bench_out: Option<String>,

@@ -1,7 +1,8 @@
-//! Report rendering: aligned text and minimal hand-rolled JSON.
+//! Report rendering: aligned text and JSON.
 
 use std::fmt::Write as _;
 
+use oasis_engine::json::{self, ObjectWriter};
 use oasis_mem::types::PageSize;
 use oasis_mgpu::characterize::{profile, RwPattern, Scope, SharePattern};
 use oasis_mgpu::{InjectionOutcome, RunReport};
@@ -90,78 +91,47 @@ fn pct(n: u64, d: u64) -> f64 {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Machine-readable single-run report.
 pub fn report_json(r: &RunReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"app\": {},", json_str(&r.app));
-    let _ = writeln!(out, "  \"policy\": {},", json_str(&r.policy));
-    let _ = writeln!(out, "  \"total_time_us\": {:.3},", r.total_time.as_us());
-    let _ = writeln!(out, "  \"phases\": {},", r.phases);
-    let _ = writeln!(out, "  \"accesses\": {},", r.accesses);
-    let _ = writeln!(out, "  \"local_accesses\": {},", r.local_accesses);
-    let _ = writeln!(out, "  \"remote_accesses\": {},", r.remote_accesses);
-    let _ = writeln!(out, "  \"far_faults\": {},", r.uvm.far_faults);
-    let _ = writeln!(out, "  \"protection_faults\": {},", r.uvm.protection_faults);
-    let _ = writeln!(out, "  \"migrations\": {},", r.uvm.migrations);
-    let _ = writeln!(
-        out,
-        "  \"counter_migrations\": {},",
-        r.uvm.counter_migrations
-    );
-    let _ = writeln!(out, "  \"duplications\": {},", r.uvm.duplications);
-    let _ = writeln!(out, "  \"collapses\": {},", r.uvm.collapses);
-    let _ = writeln!(out, "  \"remote_maps\": {},", r.uvm.remote_maps);
-    let _ = writeln!(out, "  \"evictions\": {},", r.uvm.evictions);
-    let _ = writeln!(out, "  \"thrash_pins\": {},", r.uvm.thrash_pins);
-    let _ = writeln!(out, "  \"nvlink_bytes\": {},", r.nvlink_bytes);
-    let _ = writeln!(out, "  \"pcie_bytes\": {},", r.pcie_bytes);
-    let _ = writeln!(out, "  \"link_faults\": {},", r.faults.link_faults);
-    let _ = writeln!(out, "  \"reroutes\": {},", r.faults.reroutes);
-    let _ = writeln!(out, "  \"rerouted_bytes\": {},", r.faults.rerouted_bytes);
-    let _ = writeln!(out, "  \"crc_retries\": {},", r.faults.crc_retries);
-    let _ = writeln!(out, "  \"ecc_quarantines\": {},", r.uvm.ecc_quarantines);
-    let _ = writeln!(out, "  \"fault_retries\": {},", r.uvm.fault_retries);
-    let _ = writeln!(
-        out,
-        "  \"policy_mix\": [{}, {}, {}],",
-        r.policy_mix[0], r.policy_mix[1], r.policy_mix[2]
-    );
-    let i = &r.instrumentation;
-    let _ = writeln!(out, "  \"wall_clock_us\": {},", i.wall_clock_us);
-    let _ = writeln!(out, "  \"retired_steps\": {},", i.retired_steps);
-    let _ = writeln!(out, "  \"checkpoint_write_us\": {},", i.checkpoint_write_us);
-    let _ = writeln!(
-        out,
-        "  \"checkpoint_restore_us\": {},",
-        i.checkpoint_restore_us
-    );
+    let (u, f, i) = (&r.uvm, &r.faults, &r.instrumentation);
     // Digests exceed 2^53, so emit them as hex strings to stay exact in
     // every JSON consumer.
-    let digests: Vec<String> = r
+    let digests = r
         .digest_trail
         .iter()
-        .map(|d| format!("\"{d:#018x}\""))
-        .collect();
-    let _ = writeln!(out, "  \"digest_trail\": [{}]", digests.join(", "));
-    out.push('}');
-    out
+        .map(|d| json::quote(&format!("{d:#018x}")));
+    ObjectWriter::default()
+        .str("app", &r.app)
+        .str("policy", &r.policy)
+        .raw("total_time_us", format_args!("{:.3}", r.total_time.as_us()))
+        .raw("phases", r.phases)
+        .raw("accesses", r.accesses)
+        .raw("local_accesses", r.local_accesses)
+        .raw("remote_accesses", r.remote_accesses)
+        .raw("far_faults", u.far_faults)
+        .raw("protection_faults", u.protection_faults)
+        .raw("migrations", u.migrations)
+        .raw("counter_migrations", u.counter_migrations)
+        .raw("duplications", u.duplications)
+        .raw("collapses", u.collapses)
+        .raw("remote_maps", u.remote_maps)
+        .raw("evictions", u.evictions)
+        .raw("thrash_pins", u.thrash_pins)
+        .raw("nvlink_bytes", r.nvlink_bytes)
+        .raw("pcie_bytes", r.pcie_bytes)
+        .raw("link_faults", f.link_faults)
+        .raw("reroutes", f.reroutes)
+        .raw("rerouted_bytes", f.rerouted_bytes)
+        .raw("crc_retries", f.crc_retries)
+        .raw("ecc_quarantines", u.ecc_quarantines)
+        .raw("fault_retries", u.fault_retries)
+        .raw("policy_mix", json::array(r.policy_mix))
+        .raw("wall_clock_us", i.wall_clock_us)
+        .raw("retired_steps", i.retired_steps)
+        .raw("checkpoint_write_us", i.checkpoint_write_us)
+        .raw("checkpoint_restore_us", i.checkpoint_restore_us)
+        .raw("digest_trail", json::array(digests))
+        .pretty()
 }
 
 /// Metrics-registry breakdown: top-N counters by value, every latency
@@ -228,18 +198,18 @@ pub fn stats_text(r: &RunReport, top: usize) -> String {
 /// Machine-readable fault-injection campaign: one JSON object per line per
 /// outcome (JSON Lines; seeds as hex strings to stay exact beyond 2^53).
 pub fn inject_json(outcomes: &[InjectionOutcome]) -> String {
-    let mut out = String::new();
-    for o in outcomes {
-        let _ = writeln!(
-            out,
-            "{{\"kind\": {}, \"seed\": \"{:#018x}\", \"ok\": {}, \"line\": {}}}",
-            json_str(o.kind.name()),
-            o.seed,
-            o.ok,
-            json_str(&o.line)
-        );
-    }
-    out
+    outcomes
+        .iter()
+        .map(|o| {
+            ObjectWriter::default()
+                .str("kind", o.kind.name())
+                .str("seed", &format!("{:#018x}", o.seed))
+                .raw("ok", o.ok)
+                .str("line", &o.line)
+                .line()
+                + "\n"
+        })
+        .collect()
 }
 
 /// Side-by-side comparison of several runs (same app).
@@ -316,14 +286,6 @@ pub fn characterization_text(trace: &Trace, page: PageSize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_str("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_str("a\nb"), "\"a\\u000ab\"");
-    }
 
     #[test]
     fn pct_handles_zero_denominator() {

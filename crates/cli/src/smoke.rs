@@ -4,17 +4,19 @@
 //! wall-clock (host noise only ever slows a run down, so best-of-N is the
 //! stable estimator). Two matrices exist: `--matrix full` (the default)
 //! covers every workload app under the four core policies at 8 MB
-//! footprints; `--matrix quick` is the historical four-cell C2D/MM x
-//! on-touch/oasis spot check at 4 MB. Results land in a small JSON file
-//! (`oasis-bench-smoke-v2`: per-cell steps/sec and peak-RSS watermark);
-//! before overwriting it, the previous file (or an explicit `--baseline`)
-//! is read back and the gate fails if any cell present in both regressed
-//! more than `--tolerance` percent in retired-steps/sec. The matrix runs
-//! *dark* (no tracing, no metrics): it measures the simulator hot path the
-//! way production sweeps run it.
+//! footprints; `--matrix quick` is its four-cell C2D/MM x on-touch/oasis
+//! subset, the same cells at the same footprint, so a quick run gates
+//! like for like against a full-matrix baseline. Results land in a small
+//! JSON file (`oasis-bench-smoke-v2`: per-cell steps/sec and peak-RSS
+//! watermark); before overwriting it, the previous file (or an explicit
+//! `--baseline`) is read back and the gate fails if any cell present in
+//! both regressed more than `--tolerance` percent in retired-steps/sec.
+//! The matrix runs *dark* (no tracing, no metrics): it measures the
+//! simulator hot path the way production sweeps run it.
 
 use std::fmt::Write as _;
 
+use oasis_engine::json::{self, ObjectWriter, Value};
 use oasis_engine::pool::{run_sweep, Job, JobOutcome};
 use oasis_mgpu::{simulate, Policy, SystemConfig};
 use oasis_workloads::{generate, App, WorkloadParams, ALL_APPS};
@@ -24,35 +26,27 @@ use crate::args::Cli;
 /// Default result file, at the repo root by convention.
 const DEFAULT_OUT: &str = "BENCH_pr8.json";
 
+/// Schema tag of the result file, required from every baseline.
+const SCHEMA: &str = "oasis-bench-smoke-v2";
+
 /// The four core policies every app is benchmarked under.
 const CORE_POLICIES: [&str; 4] = ["on-touch", "access-counter", "duplication", "oasis"];
 
-/// Footprint (MB) for the full matrix; deliberately larger than the
-/// historical quick matrix so capacity effects show up in the numbers.
+/// Footprint (MB) of every cell; large enough that capacity effects show
+/// up in the numbers.
 const FULL_FOOTPRINT_MB: u64 = 8;
 
-/// Footprint (MB) of the historical quick matrix (kept for comparability
-/// with committed BENCH_pr4.json baselines).
-const QUICK_FOOTPRINT_MB: u64 = 4;
-
-/// The benchmark matrix selected by `--matrix`: (app, policy, footprint).
-fn matrix(kind: &str) -> Vec<(App, &'static str, u64)> {
-    match kind {
-        "quick" => vec![
-            (App::C2d, "on-touch", QUICK_FOOTPRINT_MB),
-            (App::C2d, "oasis", QUICK_FOOTPRINT_MB),
-            (App::Mm, "on-touch", QUICK_FOOTPRINT_MB),
-            (App::Mm, "oasis", QUICK_FOOTPRINT_MB),
-        ],
-        _ => ALL_APPS
-            .iter()
-            .flat_map(|&app| {
-                CORE_POLICIES
-                    .iter()
-                    .map(move |&policy| (app, policy, FULL_FOOTPRINT_MB))
-            })
-            .collect(),
-    }
+/// The benchmark matrix selected by `--matrix`: (app, policy) cells, in
+/// app-then-policy order. `quick` is a subset of `full`.
+fn matrix(kind: &str) -> Vec<(App, &'static str)> {
+    ALL_APPS
+        .iter()
+        .flat_map(|&app| CORE_POLICIES.iter().map(move |&policy| (app, policy)))
+        .filter(|&(app, policy)| {
+            kind != "quick"
+                || (matches!(app, App::C2d | App::Mm) && matches!(policy, "on-touch" | "oasis"))
+        })
+        .collect()
 }
 
 /// One benchmark cell's best-of-N measurement.
@@ -104,9 +98,9 @@ fn policy_by_name(name: &str) -> Policy {
     }
 }
 
-fn run_cell(app: App, policy_name: &'static str, footprint_mb: u64, runs: usize) -> Cell {
+fn run_cell(app: App, policy_name: &'static str, runs: usize) -> Cell {
     let mut params = WorkloadParams::paper(app, 4);
-    params.footprint_mb = footprint_mb;
+    params.footprint_mb = FULL_FOOTPRINT_MB;
     let trace = generate(app, &params);
     let policy = policy_by_name(policy_name);
     let mut best_wall = u64::MAX;
@@ -126,56 +120,48 @@ fn run_cell(app: App, policy_name: &'static str, footprint_mb: u64, runs: usize)
     }
 }
 
-/// Renders the result file: valid JSON, one cell object per line so the
-/// baseline reader (and shell tools) can line-scan it.
+/// Renders the result file: one cell object per line, so a diff of two
+/// result files reads cell by cell.
 fn render_json(cells: &[Cell]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"oasis-bench-smoke-v2\",");
-    let _ = writeln!(out, "  \"peak_rss_kb\": {},", peak_rss_kb());
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"app\": \"{}\", \"policy\": \"{}\", \"wall_clock_us\": {}, \
-             \"retired_steps\": {}, \"steps_per_sec\": {:.1}, \"rss_kb\": {}}}{comma}",
-            c.app, c.policy, c.wall_clock_us, c.retired_steps, c.steps_per_sec, c.rss_kb
-        );
+    let rows: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            ObjectWriter::default()
+                .str("app", c.app)
+                .str("policy", c.policy)
+                .raw("wall_clock_us", c.wall_clock_us)
+                .raw("retired_steps", c.retired_steps)
+                .raw("steps_per_sec", format_args!("{:.1}", c.steps_per_sec))
+                .raw("rss_kb", c.rss_kb)
+                .line()
+        })
+        .collect();
+    ObjectWriter::default()
+        .str("schema", SCHEMA)
+        .raw("peak_rss_kb", peak_rss_kb())
+        .raw("cells", format!("[\n    {}\n  ]", rows.join(",\n    ")))
+        .pretty()
+        + "\n"
+}
+
+/// Baseline steps/sec per `app/policy` cell key, from an
+/// `oasis-bench-smoke-v2` file.
+fn parse_baseline(content: &str) -> Result<Vec<(String, f64)>, String> {
+    let file = json::parse_object(content)?;
+    let schema = file.str("schema")?;
+    if schema != SCHEMA {
+        return Err(format!(
+            "unsupported schema '{schema}' (expected '{SCHEMA}')"
+        ));
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Pulls a quoted string field out of one JSON line.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(&line[start..end])
-}
-
-/// Pulls a numeric field out of one JSON line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Baseline steps/sec per cell key, parsed by line scan (tolerates any
-/// surrounding schema — v1 files gate fine — as long as cell objects stay
-/// one per line).
-fn parse_baseline(content: &str) -> Vec<(String, f64)> {
-    content
-        .lines()
-        .filter_map(|line| {
-            let app = field_str(line, "app")?;
-            let policy = field_str(line, "policy")?;
-            let sps = field_num(line, "steps_per_sec")?;
-            Some((format!("{app}/{policy}"), sps))
+    file.array("cells")?
+        .iter()
+        .map(|cell| match cell {
+            Value::Object(c) => Ok((
+                format!("{}/{}", c.str("app")?, c.str("policy")?),
+                c.f64("steps_per_sec")?,
+            )),
+            _ => Err("every cell should be an object".to_string()),
         })
         .collect()
 }
@@ -188,7 +174,9 @@ pub(crate) fn bench_smoke(cli: &Cli) -> Result<String, String> {
     // Read the baseline *before* overwriting the result file.
     let baseline_path = cli.baseline.as_deref().unwrap_or(out_path);
     let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(content) => parse_baseline(&content),
+        Ok(content) => {
+            parse_baseline(&content).map_err(|e| format!("baseline {baseline_path}: {e}"))?
+        }
         Err(_) if cli.baseline.is_none() => Vec::new(),
         Err(e) => return Err(format!("--baseline {baseline_path}: {e}")),
     };
@@ -200,10 +188,10 @@ pub(crate) fn bench_smoke(cli: &Cli) -> Result<String, String> {
     // (panic containment, optional deadline) is what earns its keep here.
     let jobs: Vec<Job<Cell>> = cells_spec
         .iter()
-        .map(|&(app, policy, footprint_mb)| {
+        .map(|&(app, policy)| {
             let runs = cli.runs;
             Job::new(format!("{}/{policy}", app.abbr()), move |_ctx| {
-                Ok(run_cell(app, policy, footprint_mb, runs))
+                Ok(run_cell(app, policy, runs))
             })
         })
         .collect();
@@ -297,8 +285,12 @@ mod tests {
         let json = render_json(&cells);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"schema\": \"oasis-bench-smoke-v2\""));
-        assert!(json.contains("\"rss_kb\": 10240"));
-        let parsed = parse_baseline(&json);
+        assert!(json.contains(
+            "\n    {\"app\": \"C2D\", \"policy\": \"on-touch\", \"wall_clock_us\": 2000, \
+             \"retired_steps\": 1000, \"steps_per_sec\": 500000.0, \"rss_kb\": 10240},\n"
+        ));
+        assert!(json.ends_with("\"rss_kb\": 10304}\n  ]\n}\n"), "{json}");
+        let parsed = parse_baseline(&json).expect("a rendered file parses");
         assert_eq!(
             parsed,
             vec![
@@ -309,44 +301,42 @@ mod tests {
     }
 
     #[test]
-    fn field_extractors_handle_missing_keys() {
-        assert_eq!(field_str("{\"app\": \"MM\"}", "app"), Some("MM"));
-        assert_eq!(field_str("{}", "app"), None);
-        assert_eq!(
-            field_num("\"steps_per_sec\": 12.5}", "steps_per_sec"),
-            Some(12.5)
-        );
-        assert_eq!(field_num("{}", "steps_per_sec"), None);
-    }
-
-    #[test]
     fn matrices_cover_what_they_claim() {
         let full = matrix("full");
         assert_eq!(full.len(), ALL_APPS.len() * CORE_POLICIES.len());
-        assert!(full.iter().all(|&(_, _, mb)| mb == FULL_FOOTPRINT_MB));
         // Every (app, policy) pair appears exactly once.
         let mut keys: Vec<String> = full
             .iter()
-            .map(|&(a, p, _)| format!("{}/{p}", a.abbr()))
+            .map(|&(a, p)| format!("{}/{p}", a.abbr()))
             .collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), full.len());
 
+        // Quick is the C2D/MM x on-touch/oasis subset of full, so its
+        // cells gate like for like against a full-matrix baseline.
         let quick = matrix("quick");
-        assert_eq!(quick.len(), 4);
-        assert!(quick.iter().all(|&(_, _, mb)| mb == QUICK_FOOTPRINT_MB));
+        assert_eq!(
+            quick,
+            [
+                (App::C2d, "on-touch"),
+                (App::C2d, "oasis"),
+                (App::Mm, "on-touch"),
+                (App::Mm, "oasis"),
+            ]
+        );
+        assert!(quick.iter().all(|cell| full.contains(cell)));
     }
 
     #[test]
-    fn v1_baselines_still_gate_v2_results() {
-        // A v1 file (no rss_kb, v1 schema tag) parses to the same keys.
+    fn v1_baselines_are_refused() {
         let v1 = "{\n  \"schema\": \"oasis-bench-smoke-v1\",\n  \"cells\": [\n    \
                   {\"app\": \"C2D\", \"policy\": \"oasis\", \"wall_clock_us\": 10, \
                   \"retired_steps\": 5, \"steps_per_sec\": 500000.0}\n  ]\n}\n";
-        assert_eq!(
-            parse_baseline(v1),
-            vec![("C2D/oasis".to_string(), 500_000.0)]
-        );
+        let err = parse_baseline(v1).expect_err("a v1 file is not a baseline");
+        assert!(err.contains("'oasis-bench-smoke-v1'"), "{err}");
+        // A file with no schema at all is refused too.
+        let bare = "{\"cells\": []}";
+        assert!(parse_baseline(bare).expect_err(bare).contains("'schema'"));
     }
 }

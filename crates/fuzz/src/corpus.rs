@@ -3,8 +3,8 @@
 //! Every shrunk repro is written as one flat JSON object under
 //! `tests/corpus/` so the regression suite replays it forever after. The
 //! format is deliberately minimal — scalar fields only, the fault plan as
-//! its spec-grammar string — and the workspace is dependency-free, so both
-//! the writer and the (tiny) parser are hand-rolled here.
+//! its spec-grammar string — and is read and written through
+//! [`oasis_engine::json`].
 //!
 //! ```json
 //! {
@@ -25,10 +25,10 @@
 //! }
 //! ```
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use oasis_engine::json::{self, ObjectWriter, Value};
 use oasis_interconnect::FaultPlan;
 use oasis_workloads::{App, ALL_APPS};
 
@@ -38,31 +38,33 @@ use crate::scenario::Scenario;
 /// Schema tag stamped into (and required from) every corpus file.
 pub const SCHEMA: &str = "oasis-fuzz-scenario-v1";
 
+/// The corpus field list, shared by both layouts so the pretty file and
+/// the wire line can never disagree on a field.
+fn fields(scenario: &Scenario, oracle: Option<OracleKind>) -> ObjectWriter {
+    let capacity = scenario
+        .capacity_pages
+        .map_or("null".into(), |c| c.to_string());
+    ObjectWriter::default()
+        .str("schema", SCHEMA)
+        .str("oracle", oracle.map_or("none", OracleKind::as_str))
+        .raw("seed", scenario.seed)
+        .str("app", scenario.app.abbr())
+        .raw("gpu_count", scenario.gpu_count)
+        .raw("footprint_mb", scenario.footprint_mb)
+        .raw("workload_seed", scenario.workload_seed)
+        .raw("max_phases", scenario.max_phases)
+        .raw("large_pages", scenario.large_pages)
+        .raw("striped", scenario.striped)
+        .raw("lanes_per_gpu", scenario.lanes_per_gpu)
+        .raw("counter_threshold", scenario.counter_threshold)
+        .raw("capacity_pages", capacity)
+        .str("fault_plan", &scenario.fault_plan.to_spec())
+}
+
 /// Serializes a scenario (plus the oracle kind it violated, if any) into
 /// the corpus JSON format.
 pub fn to_json(scenario: &Scenario, oracle: Option<OracleKind>) -> String {
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"oracle\": \"{}\",\n  \"seed\": {},\n  \
-         \"app\": \"{}\",\n  \"gpu_count\": {},\n  \"footprint_mb\": {},\n  \
-         \"workload_seed\": {},\n  \"max_phases\": {},\n  \"large_pages\": {},\n  \
-         \"striped\": {},\n  \"lanes_per_gpu\": {},\n  \"counter_threshold\": {},\n  \
-         \"capacity_pages\": {},\n  \"fault_plan\": \"{}\"\n}}\n",
-        oracle.map_or("none", OracleKind::as_str),
-        scenario.seed,
-        scenario.app.abbr(),
-        scenario.gpu_count,
-        scenario.footprint_mb,
-        scenario.workload_seed,
-        scenario.max_phases,
-        scenario.large_pages,
-        scenario.striped,
-        scenario.lanes_per_gpu,
-        scenario.counter_threshold,
-        scenario
-            .capacity_pages
-            .map_or_else(|| "null".to_string(), |c| c.to_string()),
-        scenario.fault_plan.to_spec(),
-    )
+    fields(scenario, oracle).pretty() + "\n"
 }
 
 /// Serializes a scenario into its *canonical wire line*: the same flat
@@ -72,26 +74,7 @@ pub fn to_json(scenario: &Scenario, oracle: Option<OracleKind>) -> String {
 /// the byte sequence is a compatibility contract, so any change here
 /// invalidates every content-addressed result cache in the wild.
 pub fn to_json_line(scenario: &Scenario) -> String {
-    format!(
-        "{{\"schema\": \"{SCHEMA}\", \"oracle\": \"none\", \"seed\": {}, \"app\": \"{}\", \
-         \"gpu_count\": {}, \"footprint_mb\": {}, \"workload_seed\": {}, \"max_phases\": {}, \
-         \"large_pages\": {}, \"striped\": {}, \"lanes_per_gpu\": {}, \"counter_threshold\": {}, \
-         \"capacity_pages\": {}, \"fault_plan\": \"{}\"}}",
-        scenario.seed,
-        scenario.app.abbr(),
-        scenario.gpu_count,
-        scenario.footprint_mb,
-        scenario.workload_seed,
-        scenario.max_phases,
-        scenario.large_pages,
-        scenario.striped,
-        scenario.lanes_per_gpu,
-        scenario.counter_threshold,
-        scenario
-            .capacity_pages
-            .map_or_else(|| "null".to_string(), |c| c.to_string()),
-        scenario.fault_plan.to_spec(),
-    )
+    fields(scenario, None).line()
 }
 
 /// The scenario's content address: FNV-1a 64 over the canonical wire line
@@ -107,60 +90,31 @@ pub fn scenario_digest(scenario: &Scenario) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns a message naming the missing or malformed field. The parser
-/// accepts exactly the flat-object subset of JSON [`to_json`] emits
-/// (string, integer, boolean, and null values; no nesting).
+/// Returns a message naming the missing or malformed field. Corpus
+/// objects are flat: every field must be a string, an unsigned integer,
+/// a boolean, or null, so nesting and negative or fractional numbers are
+/// rejected along with duplicate keys.
 pub fn from_json(text: &str) -> Result<(Scenario, Option<OracleKind>), String> {
-    let fields = parse_flat_object(text)?;
-    let get = |key: &str| {
-        fields
-            .get(key)
-            .ok_or_else(|| format!("missing field '{key}'"))
-    };
-    let str_field = |key: &str| -> Result<String, String> {
-        match get(key)? {
-            JsonValue::Str(s) => Ok(s.clone()),
-            v => Err(format!("field '{key}' should be a string, got {v:?}")),
-        }
-    };
-    let u64_field = |key: &str| -> Result<u64, String> {
-        match get(key)? {
-            JsonValue::Num(n) => Ok(*n),
-            v => Err(format!("field '{key}' should be a number, got {v:?}")),
-        }
-    };
-    let bool_field = |key: &str| -> Result<bool, String> {
-        match get(key)? {
-            JsonValue::Bool(b) => Ok(*b),
-            v => Err(format!("field '{key}' should be a boolean, got {v:?}")),
-        }
-    };
-
-    let schema = str_field("schema")?;
+    let fields = json::parse_object(text)?;
+    let not_flat = |v: &Value| matches!(v, Value::F64(_) | Value::Array(_) | Value::Object(_));
+    if let Some(key) = fields.0.iter().find_map(|(k, v)| not_flat(v).then_some(k)) {
+        return Err(format!("field '{key}' is not a flat scalar"));
+    }
+    let schema = fields.str("schema")?;
     if schema != SCHEMA {
         return Err(format!(
             "unsupported schema '{schema}' (expected '{SCHEMA}')"
         ));
     }
-    let oracle = match str_field("oracle")?.as_str() {
+    let oracle = match fields.str("oracle")? {
         "none" => None,
         s => Some(OracleKind::parse(s).ok_or_else(|| format!("unknown oracle kind '{s}'"))?),
     };
-    let abbr = str_field("app")?;
-    let app = app_from_abbr(&abbr).ok_or_else(|| format!("unknown app '{abbr}'"))?;
-    let capacity_pages = match get("capacity_pages")? {
-        JsonValue::Null => None,
-        JsonValue::Num(n) => Some(*n),
-        v => {
-            return Err(format!(
-                "field 'capacity_pages' should be a number or null, got {v:?}"
-            ))
-        }
-    };
-    let plan_spec = str_field("fault_plan")?;
-    let fault_plan =
-        FaultPlan::parse(&plan_spec).map_err(|e| format!("field 'fault_plan': {e}"))?;
-    let gpu_count = u64_field("gpu_count")? as usize;
+    let abbr = fields.str("app")?;
+    let app = app_from_abbr(abbr).ok_or_else(|| format!("unknown app '{abbr}'"))?;
+    let fault_plan = FaultPlan::parse(fields.str("fault_plan")?)
+        .map_err(|e| format!("field 'fault_plan': {e}"))?;
+    let gpu_count = fields.u64("gpu_count")? as usize;
     if gpu_count == 0 {
         return Err("field 'gpu_count' must be positive".to_string());
     }
@@ -168,17 +122,17 @@ pub fn from_json(text: &str) -> Result<(Scenario, Option<OracleKind>), String> {
         .validate_for(gpu_count)
         .map_err(|e| format!("field 'fault_plan': {e}"))?;
     let scenario = Scenario {
-        seed: u64_field("seed")?,
+        seed: fields.u64("seed")?,
         app,
         gpu_count,
-        footprint_mb: u64_field("footprint_mb")?.max(1),
-        workload_seed: u64_field("workload_seed")?,
-        max_phases: (u64_field("max_phases")? as usize).max(1),
-        large_pages: bool_field("large_pages")?,
-        striped: bool_field("striped")?,
-        lanes_per_gpu: (u64_field("lanes_per_gpu")? as usize).max(1),
-        counter_threshold: u64_field("counter_threshold")?.min(u64::from(u32::MAX)) as u32,
-        capacity_pages,
+        footprint_mb: fields.u64("footprint_mb")?.max(1),
+        workload_seed: fields.u64("workload_seed")?,
+        max_phases: (fields.u64("max_phases")? as usize).max(1),
+        large_pages: fields.bool("large_pages")?,
+        striped: fields.bool("striped")?,
+        lanes_per_gpu: (fields.u64("lanes_per_gpu")? as usize).max(1),
+        counter_threshold: fields.u64("counter_threshold")?.min(u64::from(u32::MAX)) as u32,
+        capacity_pages: fields.opt_u64("capacity_pages")?,
         fault_plan,
     };
     Ok((scenario, oracle))
@@ -321,120 +275,6 @@ pub fn load_dir(dir: &Path) -> Result<Corpus, String> {
     Ok(corpus)
 }
 
-/// The scalar values the corpus format uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JsonValue {
-    /// A double-quoted string (no escape sequences).
-    Str(String),
-    /// A non-negative integer.
-    Num(u64),
-    /// `true` or `false`.
-    Bool(bool),
-    /// The `null` literal.
-    Null,
-}
-
-/// Parses one flat JSON object of scalar fields. Not a general JSON
-/// parser: nesting and arrays are rejected, which doubles as corpus-file
-/// validation. Public because the sweep-server wire protocol reuses this
-/// exact subset for its request and response lines — one parser, one
-/// grammar.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed construct.
-pub fn parse_flat_object(text: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut chars = text.chars().peekable();
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected '{' at start of corpus file".to_string());
-    }
-    let mut fields = BTreeMap::new();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            other => return Err(format!("expected field name or '}}', got {other:?}")),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after field '{key}'"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while chars.peek().is_some_and(char::is_ascii_digit) {
-                    digits.push(chars.next().expect("peeked"));
-                }
-                JsonValue::Num(
-                    digits
-                        .parse()
-                        .map_err(|_| format!("bad number '{digits}' in field '{key}'"))?,
-                )
-            }
-            Some('t' | 'f' | 'n') => {
-                let mut word = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.push(chars.next().expect("peeked"));
-                }
-                match word.as_str() {
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    "null" => JsonValue::Null,
-                    w => return Err(format!("bad literal '{w}' in field '{key}'")),
-                }
-            }
-            other => return Err(format!("unsupported value {other:?} in field '{key}'")),
-        };
-        if fields.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate field '{key}'"));
-        }
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some(',') => {
-                chars.next();
-            }
-            Some('}') => {}
-            other => return Err(format!("expected ',' or '}}' after field, got {other:?}")),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing content after corpus object".to_string());
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".to_string());
-    }
-    let mut out = String::new();
-    for c in chars.by_ref() {
-        match c {
-            '"' => return Ok(out),
-            // The writer never emits escapes (fault-plan specs and app
-            // abbreviations are plain ASCII); reject rather than guess.
-            '\\' => return Err("escape sequences are not supported".to_string()),
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,6 +314,25 @@ mod tests {
         );
     }
 
+    /// The wire line is the result-cache key preimage, a documented
+    /// compatibility contract: these digests must never change.
+    #[test]
+    fn scenario_digests_are_pinned() {
+        let digests: Vec<u64> = (0..5u64)
+            .map(|s| scenario_digest(&Scenario::generate(s)))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                0x143d_8c46_d722_b296,
+                0xa31b_5175_0c9c_630e,
+                0x7b3d_d261_209b_1840,
+                0x944a_4b3a_3db6_34fd,
+                0xdb64_14ec_9948_a79a,
+            ]
+        );
+    }
+
     #[test]
     fn parser_rejects_malformed_corpus_files() {
         for (bad, why) in [
@@ -483,13 +342,41 @@ mod tests {
             ("{\"schema\": \"wrong\"}", "schema mismatch"),
             ("{\"a\": 1, \"a\": 2}", "duplicate key"),
             ("{\"a\": {\"nested\": 1}}", "nesting"),
+            ("{\"a\": [1]}", "array"),
             ("{\"a\": -1}", "negative number"),
-            ("{\"a\": \"x\\\"y\"}", "escape"),
+            ("{\"a\": 1.5}", "fractional number"),
         ] {
             assert!(from_json(bad).is_err(), "accepted {why}: {bad}");
         }
         // A valid object missing required fields is also rejected.
         assert!(from_json(&format!("{{\"schema\": \"{SCHEMA}\"}}")).is_err());
+        // Every flat-scalar rule holds for an otherwise valid file too.
+        let good = to_json(&Scenario::generate(4), None);
+        for extra in ["{\"x\": 1}", "[]", "-1", "0.5"] {
+            let bad = good.replacen('{', &format!("{{\"extra\": {extra},"), 1);
+            let err = from_json(&bad).expect_err(&bad);
+            assert!(err.contains("'extra'"), "{err}");
+        }
+        let dup = good.replacen('{', "{\"seed\": 1,", 1);
+        assert!(from_json(&dup)
+            .expect_err(&dup)
+            .contains("duplicate field 'seed'"));
+    }
+
+    #[test]
+    fn standard_string_escapes_are_accepted() {
+        let s = Scenario::generate(4);
+        let plain = to_json(&s, None);
+        let app = format!("\"app\": \"{}\"", s.app.abbr());
+        let escaped: String = s
+            .app
+            .abbr()
+            .chars()
+            .map(|c| format!("\\u{:04x}", c as u32))
+            .collect();
+        let text = plain.replace(&app, &format!("\"app\": \"{escaped}\""));
+        assert_ne!(text, plain);
+        assert_eq!(from_json(&text).expect("escaped app parses"), (s, None));
     }
 
     #[test]

@@ -33,13 +33,14 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use oasis_engine::codec::{ByteReader, ByteWriter, CodecError};
+use oasis_engine::json::{self, ObjectWriter};
 use oasis_engine::pool::{Job, StopHandle};
 use oasis_engine::sweep::{clip, JournaledSweep, Outcome, PayloadCodec, SweepOptions};
 use oasis_engine::{fnv1a, SimRng};
 
 pub use corpus::{
-    from_json, load_dir, parse_flat_object, scenario_digest, to_json, to_json_line, write_repro,
-    Corpus, CorpusEntry, JsonValue, SkippedFile,
+    from_json, load_dir, scenario_digest, to_json, to_json_line, write_repro, Corpus, CorpusEntry,
+    SkippedFile,
 };
 pub use oracle::{check, OracleKind, Violation};
 pub use scenario::{Scenario, FUZZ_APPS};
@@ -378,43 +379,29 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, String> {
 /// one line. (A time budget makes `cases_run` wall-clock dependent, so
 /// budgeted runs are not byte-comparable.)
 pub fn report_json(opts: &FuzzOptions, report: &FuzzReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"oasis-fuzz-report-v2\",\n");
-    out.push_str(&format!("  \"master_seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"cases_requested\": {},\n", opts.cases));
-    out.push_str(&format!("  \"cases_run\": {},\n", report.cases_run));
-    out.push_str(&format!(
-        "  \"elapsed_secs\": {:.3},\n",
-        report.elapsed.as_secs_f64()
-    ));
-    out.push_str(&format!("  \"violations\": {},\n", report.violations.len()));
-    out.push_str(&format!(
-        "  \"violation_cases\": [{}],\n",
-        report
-            .violations
-            .iter()
-            .map(|v| v.case_index.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"job_failures\": {},\n",
-        report.job_failures.len()
-    ));
-    out.push_str(&format!(
-        "  \"quarantined_cases\": [{}],\n",
-        report
-            .job_failures
-            .iter()
-            .filter(|f| f.quarantined)
-            .map(|f| f.case_index.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!("  \"retries\": {}\n", report.retries));
-    out.push_str("}\n");
-    out
+    let quarantined = report.job_failures.iter().filter(|f| f.quarantined);
+    ObjectWriter::default()
+        .str("schema", "oasis-fuzz-report-v2")
+        .raw("master_seed", opts.seed)
+        .raw("cases_requested", opts.cases)
+        .raw("cases_run", report.cases_run)
+        .raw(
+            "elapsed_secs",
+            format_args!("{:.3}", report.elapsed.as_secs_f64()),
+        )
+        .raw("violations", report.violations.len())
+        .raw(
+            "violation_cases",
+            json::array(report.violations.iter().map(|v| v.case_index)),
+        )
+        .raw("job_failures", report.job_failures.len())
+        .raw(
+            "quarantined_cases",
+            json::array(quarantined.map(|f| f.case_index)),
+        )
+        .raw("retries", report.retries)
+        .pretty()
+        + "\n"
 }
 
 #[cfg(test)]

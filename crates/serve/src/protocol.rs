@@ -5,10 +5,11 @@
 //! line. Requests are either a bare keyword (`ping`, `stats`) or a
 //! scenario job payload — the exact `oasis-fuzz-scenario-v1` flat JSON
 //! object the repro corpus already uses, parsed by the same
-//! [`oasis_fuzz::parse_flat_object`] grammar (scalar fields only, no
-//! nesting, no escapes). Server events are flat JSON objects tagged by a
-//! `"serve"` field (`accepted`, `rejected`, `dispatched`, `progress`,
-//! `result`, `pong`, `stats`, `error`).
+//! [`oasis_fuzz::from_json`] (scalar fields only, no nesting). Server
+//! events are flat JSON objects tagged by a `"serve"` field (`accepted`,
+//! `rejected`, `dispatched`, `progress`, `result`, `pong`, `stats`,
+//! `error`). Both directions are read and written through
+//! [`oasis_engine::json`].
 //!
 //! Hardening rules, enforced by [`LineReader`] and [`parse_request`]:
 //!
@@ -24,11 +25,11 @@
 //!
 //! Nothing in this module panics on wire input, whatever the bytes.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read};
 
-use oasis_fuzz::{from_json, parse_flat_object, JsonValue, Scenario};
+use oasis_engine::json::{self, Object, ObjectWriter, Value};
+use oasis_fuzz::{from_json, Scenario};
 
 /// Hard cap on one request line, bytes (newline included). A scenario
 /// wire line is ~300 bytes; 64 KiB leaves two orders of magnitude of
@@ -236,11 +237,12 @@ impl<R: Read> LineReader<R> {
     }
 }
 
-/// Clamps a string to the protocol's string-value subset: printable ASCII
-/// minus the two JSON-significant characters (`"`, `\`), everything else
-/// replaced by a space. The flat parser on the other end accepts no
-/// escapes, so this is what keeps arbitrary violation details and error
-/// messages representable on the wire without ever breaking framing.
+/// Clamps a string to printable ASCII minus `"` and `\`, everything else
+/// replaced by a space. This is a content rule, not a framing one (the
+/// JSON quoter would escape those characters): verdicts are sanitized
+/// once, before they are journaled and cached (`CachedResult::verdict`),
+/// so a verdict re-served from the cache or the journal is byte-identical
+/// to the freshly computed one and every stored entry stays valid.
 pub fn sanitize(s: &str) -> String {
     s.chars()
         .map(|c| match c {
@@ -260,33 +262,38 @@ pub fn digest_hex(digest: u64) -> String {
 // Server-event builders: every line the server can write.
 // ---------------------------------------------------------------------
 
+/// A server event under construction, tagged with its `"serve"` kind.
+fn event(kind: &str) -> ObjectWriter {
+    ObjectWriter::default().str("serve", kind)
+}
+
 /// `accepted`: the job was admitted (or coalesced onto an identical
 /// queued job) and a `result` event will follow.
 pub fn event_accepted(job: u64, digest: u64, coalesced: bool) -> String {
-    format!(
-        "{{\"serve\": \"accepted\", \"job\": {job}, \"digest\": \"{}\", \"coalesced\": {coalesced}}}",
-        digest_hex(digest)
-    )
+    event("accepted")
+        .raw("job", job)
+        .str("digest", &digest_hex(digest))
+        .raw("coalesced", coalesced)
+        .line()
 }
 
 /// `rejected`: admission control shed this submission; no result will
 /// follow. `reason` is a stable tag (`overloaded`, `connection-inflight`,
 /// `draining`, `busy`).
 pub fn event_rejected(digest: u64, reason: &str, detail: &str) -> String {
-    format!(
-        "{{\"serve\": \"rejected\", \"digest\": \"{}\", \"reason\": \"{reason}\", \
-         \"detail\": \"{}\"}}",
-        digest_hex(digest),
-        sanitize(detail)
-    )
+    event("rejected")
+        .str("digest", &digest_hex(digest))
+        .str("reason", reason)
+        .str("detail", &sanitize(detail))
+        .line()
 }
 
 /// `dispatched`: an attempt for the job was handed to a pool worker.
 pub fn event_dispatched(digest: u64, attempt: u32) -> String {
-    format!(
-        "{{\"serve\": \"dispatched\", \"digest\": \"{}\", \"attempt\": {attempt}}}",
-        digest_hex(digest)
-    )
+    event("dispatched")
+        .str("digest", &digest_hex(digest))
+        .raw("attempt", attempt)
+        .line()
 }
 
 /// `progress`: deterministic activity counts from the scenario's run
@@ -302,12 +309,14 @@ pub fn event_progress(
     shootdowns: u64,
     evictions: u64,
 ) -> String {
-    format!(
-        "{{\"serve\": \"progress\", \"digest\": \"{}\", \"far_fault\": {far_faults}, \
-         \"migration\": {migrations}, \"duplication\": {duplications}, \
-         \"shootdown\": {shootdowns}, \"eviction\": {evictions}}}",
-        digest_hex(digest)
-    )
+    event("progress")
+        .str("digest", &digest_hex(digest))
+        .raw("far_fault", far_faults)
+        .raw("migration", migrations)
+        .raw("duplication", duplications)
+        .raw("shootdown", shootdowns)
+        .raw("eviction", evictions)
+        .line()
 }
 
 /// `result`: the job's final verdict. `outcome` is the journal taxonomy
@@ -322,36 +331,36 @@ pub fn event_result(
     cached: bool,
     attempts: u32,
 ) -> String {
-    format!(
-        "{{\"serve\": \"result\", \"digest\": \"{}\", \"outcome\": \"{outcome}\", \
-         \"verdict\": \"{}\", \"cached\": {cached}, \"attempts\": {attempts}}}",
-        digest_hex(digest),
-        sanitize(verdict)
-    )
+    event("result")
+        .str("digest", &digest_hex(digest))
+        .str("outcome", outcome)
+        .str("verdict", &sanitize(verdict))
+        .raw("cached", cached)
+        .raw("attempts", attempts)
+        .line()
 }
 
 /// `error`: a typed protocol failure for the offending request line.
 pub fn event_error(err: &ProtocolError) -> String {
-    format!(
-        "{{\"serve\": \"error\", \"code\": \"{}\", \"detail\": \"{}\"}}",
-        err.code(),
-        sanitize(&err.to_string())
-    )
+    event("error")
+        .str("code", err.code())
+        .str("detail", &sanitize(&err.to_string()))
+        .line()
 }
 
 /// `pong`: the `ping` reply.
 pub fn event_pong() -> String {
-    "{\"serve\": \"pong\"}".to_string()
+    event("pong").line()
 }
 
 /// `stats`: a flat snapshot of the server's `serve.*` counters.
 pub fn event_stats(counters: &[(String, u64)]) -> String {
-    let mut out = String::from("{\"serve\": \"stats\"");
-    for (key, value) in counters {
-        out.push_str(&format!(", \"{}\": {value}", sanitize(key)));
-    }
-    out.push('}');
-    out
+    let fields = counters.iter();
+    fields
+        .fold(event("stats"), |w, (key, value)| {
+            w.raw(&sanitize(key), value)
+        })
+        .line()
 }
 
 // ---------------------------------------------------------------------
@@ -390,7 +399,7 @@ pub enum ServerEvent {
     Progress {
         /// Scenario content digest.
         digest: u64,
-        /// `(event kind, count)` in wire order.
+        /// `(event kind, count)` in key order.
         counts: Vec<(String, u64)>,
     },
     /// Final verdict for a job.
@@ -419,39 +428,25 @@ pub enum ServerEvent {
     },
 }
 
-fn field_str(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, String> {
-    match fields.get(key) {
-        Some(JsonValue::Str(s)) => Ok(s.clone()),
-        other => Err(format!(
-            "event field '{key}' should be a string, got {other:?}"
-        )),
-    }
-}
-
-fn field_num(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
-    match fields.get(key) {
-        Some(JsonValue::Num(n)) => Ok(*n),
-        other => Err(format!(
-            "event field '{key}' should be a number, got {other:?}"
-        )),
-    }
-}
-
-fn field_bool(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<bool, String> {
-    match fields.get(key) {
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        other => Err(format!(
-            "event field '{key}' should be a boolean, got {other:?}"
-        )),
-    }
-}
-
-fn field_digest(fields: &BTreeMap<String, JsonValue>) -> Result<u64, String> {
-    let s = field_str(fields, "digest")?;
+fn field_digest(fields: &Object) -> Result<u64, String> {
+    let s = fields.str("digest")?;
     let hex = s
         .strip_prefix("0x")
         .ok_or_else(|| format!("digest '{s}' lacks its 0x prefix"))?;
     u64::from_str_radix(hex, 16).map_err(|e| format!("digest '{s}': {e}"))
+}
+
+/// Every unsigned-integer field of an event, in key order: the counts of
+/// a `progress` event and the counters of a `stats` event.
+fn counts(fields: &Object) -> Vec<(String, u64)> {
+    fields
+        .0
+        .iter()
+        .filter_map(|(k, v)| match v {
+            Value::U64(n) => Some((k.clone(), *n)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Parses one server event line.
@@ -461,56 +456,39 @@ fn field_digest(fields: &BTreeMap<String, JsonValue>) -> Result<u64, String> {
 /// Returns a message naming the malformed field; the client treats any
 /// unparsable event as a fatal protocol breach (servers never emit them).
 pub fn parse_event(line: &str) -> Result<ServerEvent, String> {
-    let fields = parse_flat_object(line)?;
-    let kind = field_str(&fields, "serve")?;
-    Ok(match kind.as_str() {
+    let fields = json::parse_object(line)?;
+    let str_field = |key| fields.str(key).map(str::to_string);
+    Ok(match fields.str("serve")? {
         "accepted" => ServerEvent::Accepted {
-            job: field_num(&fields, "job")?,
+            job: fields.u64("job")?,
             digest: field_digest(&fields)?,
-            coalesced: field_bool(&fields, "coalesced")?,
+            coalesced: fields.bool("coalesced")?,
         },
         "rejected" => ServerEvent::Rejected {
             digest: field_digest(&fields)?,
-            reason: field_str(&fields, "reason")?,
-            detail: field_str(&fields, "detail")?,
+            reason: str_field("reason")?,
+            detail: str_field("detail")?,
         },
         "dispatched" => ServerEvent::Dispatched {
             digest: field_digest(&fields)?,
-            attempt: field_num(&fields, "attempt")?,
+            attempt: fields.u64("attempt")?,
         },
-        "progress" => {
-            let digest = field_digest(&fields)?;
-            let counts = fields
-                .iter()
-                .filter(|(k, _)| k.as_str() != "serve" && k.as_str() != "digest")
-                .filter_map(|(k, v)| match v {
-                    JsonValue::Num(n) => Some((k.clone(), *n)),
-                    _ => None,
-                })
-                .collect();
-            ServerEvent::Progress { digest, counts }
-        }
+        "progress" => ServerEvent::Progress {
+            digest: field_digest(&fields)?,
+            counts: counts(&fields),
+        },
         "result" => ServerEvent::Result {
             digest: field_digest(&fields)?,
-            outcome: field_str(&fields, "outcome")?,
-            verdict: field_str(&fields, "verdict")?,
-            cached: field_bool(&fields, "cached")?,
-            attempts: field_num(&fields, "attempts")?,
+            outcome: str_field("outcome")?,
+            verdict: str_field("verdict")?,
+            cached: fields.bool("cached")?,
+            attempts: fields.u64("attempts")?,
         },
         "pong" => ServerEvent::Pong,
-        "stats" => ServerEvent::Stats(
-            fields
-                .iter()
-                .filter(|(k, _)| k.as_str() != "serve")
-                .filter_map(|(k, v)| match v {
-                    JsonValue::Num(n) => Some((k.clone(), *n)),
-                    _ => None,
-                })
-                .collect(),
-        ),
+        "stats" => ServerEvent::Stats(counts(&fields)),
         "error" => ServerEvent::Error {
-            code: field_str(&fields, "code")?,
-            detail: field_str(&fields, "detail")?,
+            code: str_field("code")?,
+            detail: str_field("detail")?,
         },
         other => return Err(format!("unknown server event '{other}'")),
     })
@@ -545,7 +523,19 @@ mod tests {
         assert_eq!(err.code(), "not-utf8");
         assert!(!err.fatal_to_connection());
 
-        // Garbage, truncated JSON, wrong schema, unknown keyword.
+        // Garbage, truncated JSON, wrong schema, unknown keyword, and
+        // hostile JSON: a nesting bomb just under the line cap, a bad
+        // escape, a lone surrogate, an integer above u64::MAX, and a
+        // negative or fractional number where a u64 is wanted.
+        let bomb = format!("{{\"a\": {}", "[".repeat(60 * 1024));
+        let valid = oasis_fuzz::to_json_line(&Scenario::generate(3));
+        let seed_as = |v: &str| valid.replacen("\"seed\": 3,", &format!("\"seed\": {v},"), 1);
+        let (too_big, negative, fraction) = (
+            seed_as("18446744073709551616"),
+            seed_as("-1"),
+            seed_as("1.5"),
+        );
+        assert_ne!(negative, valid, "the seed field was substituted");
         for bad in [
             &b"complete garbage"[..],
             b"{\"schema\": \"oasis-fuzz-scenario-v1\"",
@@ -554,6 +544,12 @@ mod tests {
             b"quit",
             b"{",
             b"[1,2,3]",
+            bomb.as_bytes(),
+            b"{\"schema\": \"\\x\"}",
+            b"{\"schema\": \"\\ud800\"}",
+            too_big.as_bytes(),
+            negative.as_bytes(),
+            fraction.as_bytes(),
         ] {
             let err = parse_request(bad).unwrap_err();
             assert_eq!(err.code(), "bad-request", "{bad:?}");
@@ -562,6 +558,9 @@ mod tests {
             let line = event_error(&err);
             assert!(parse_event(&line).is_ok(), "{line}");
         }
+
+        let err = parse_request(bomb.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
 
         // A pile of random-ish binary through the framer: typed results
         // only, no panic.
@@ -620,6 +619,20 @@ mod tests {
             event_pong(),
             event_stats(&[("serve.cache_hits".to_string(), 5)]),
         ];
+        // The exact bytes of every builder: clients in the wild parse these.
+        assert_eq!(
+            cases,
+            [
+                "{\"serve\": \"accepted\", \"job\": 7, \"digest\": \"0x00000000deadbeef\", \"coalesced\": false}",
+                "{\"serve\": \"rejected\", \"digest\": \"0x0000000000000001\", \"reason\": \"overloaded\", \"detail\": \"queue depth 8 at limit 8\"}",
+                "{\"serve\": \"dispatched\", \"digest\": \"0x0000000000000002\", \"attempt\": 1}",
+                "{\"serve\": \"progress\", \"digest\": \"0x0000000000000003\", \"far_fault\": 10, \"migration\": 4, \"duplication\": 2, \"shootdown\": 1, \"eviction\": 0}",
+                "{\"serve\": \"result\", \"digest\": \"0x0000000000000004\", \"outcome\": \"completed\", \"verdict\": \"clean\", \"cached\": true, \"attempts\": 1}",
+                "{\"serve\": \"error\", \"code\": \"not-utf8\", \"detail\": \"request line is not valid UTF-8\"}",
+                "{\"serve\": \"pong\"}",
+                "{\"serve\": \"stats\", \"serve.cache_hits\": 5}",
+            ]
+        );
         for line in &cases {
             let ev = parse_event(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             match (line, &ev) {

@@ -2,14 +2,15 @@
 # Throughput smoke gate. Runs the benchmark matrix best-of-N, writes the
 # result JSON at the repo root, and fails if any cell's retired-steps/sec
 # regressed more than the tolerance against the previous committed result
-# (or an explicit baseline). Fully offline.
+# (or an explicit baseline), which must be an oasis-bench-smoke-v2 file.
+# Fully offline.
 #
 # Every knob is an environment variable, so CI jobs and local runs tune
 # the sweep without editing this file; explicit flags still win because
 # they are appended last.
 #
 #     BENCH_RUNS=<N>        runs per cell, best kept          [default: 3]
-#     BENCH_MATRIX=<NAME>   full | quick                      [default: full]
+#     BENCH_MATRIX=<NAME>   full | quick (four cells of full) [default: full]
 #     BENCH_OUT=<FILE>      result file            [default: BENCH_pr8.json]
 #     BENCH_BASELINE=<FILE> baseline to gate against
 #                           [default: the previous BENCH_OUT file]

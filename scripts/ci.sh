@@ -340,9 +340,11 @@ rm -rf "$CORPUS_DIR"
 echo "failure propagation verified (bad replays nonzero, inject campaign clean)"
 
 step "bench-smoke throughput gate (quick matrix; the CI bench job runs full)"
-# The quick spot-check gates against the committed full-matrix result
-# without overwriting it (the result goes to a scratch file); the
-# dedicated CI bench job is what refreshes and uploads BENCH_pr8.json.
+# The quick matrix is four cells of the full one (C2D/MM x on-touch/oasis
+# at the same 8 MB footprint), so it gates like for like against the
+# matching cells of the committed full-matrix result. It does not
+# overwrite that file (the result goes to a scratch file); the dedicated
+# CI bench job is what refreshes and uploads BENCH_pr8.json.
 BENCH_SCRATCH="$(mktemp)"
 BENCH_MATRIX="${BENCH_MATRIX:-quick}" BENCH_OUT="$BENCH_SCRATCH" \
     BENCH_BASELINE="${BENCH_BASELINE:-BENCH_pr8.json}" ./scripts/bench_smoke.sh

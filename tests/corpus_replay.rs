@@ -9,7 +9,7 @@
 //! pages, capacity-pressure eviction, ECC fault recovery), so this test
 //! also smoke-checks the oracle harness itself on every CI run.
 
-use oasis::fuzz::{check, load_dir};
+use oasis::fuzz::{check, load_dir, to_json};
 
 #[test]
 fn every_corpus_repro_passes_all_oracles() {
@@ -42,4 +42,22 @@ fn every_corpus_repro_passes_all_oracles() {
         failures.len(),
         failures.join("\n")
     );
+}
+
+/// The corpus format is pinned by the committed files themselves: each
+/// one parses and re-serializes to exactly its own bytes.
+#[test]
+fn every_corpus_file_reserializes_byte_exact() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let corpus = load_dir(&dir).expect("corpus directory is readable");
+    assert!(!corpus.is_empty());
+    for entry in &corpus.entries {
+        let bytes = std::fs::read_to_string(&entry.path).expect("corpus file is readable");
+        assert_eq!(
+            to_json(&entry.scenario, entry.oracle),
+            bytes,
+            "{}",
+            entry.path.display()
+        );
+    }
 }
