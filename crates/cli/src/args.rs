@@ -29,21 +29,13 @@ COMMANDS:
     fuzz          property-based fuzzing: random scenarios through the
                   differential policy oracle; failures are shrunk and
                   saved as corpus repros
-    serve         run the crash-durable sweep server: accept scenario
-                  jobs over newline JSON on a localhost socket, schedule
-                  them on the supervised pool, cache results by content
-                  digest, and journal the queue so a killed server
-                  resumes without losing admitted work
-    submit        send scenario jobs to a running sweep server, stream
-                  progress to stderr, and print one deterministic result
-                  line per job
     chaos         storage-chaos audit: enumerate every failpoint site x
                   fault kind (EIO, ENOSPC, short write, fsync/rename
                   failure, torn append) against the checkpoint, journal,
-                  corpus, and serve durability surfaces and assert the
-                  invariant triad — no panic, no corrupt artifact read
-                  back as valid, post-fault recovery byte-identical or a
-                  typed error naming the site
+                  and corpus durability surfaces and assert the invariant
+                  triad — no panic, no corrupt artifact read back as
+                  valid, post-fault recovery byte-identical or a typed
+                  error naming the site
     help          show this text
 
 OPTIONS:
@@ -114,28 +106,6 @@ OPTIONS:
     --job-attempts <N>      attempts per job (deterministic doubling
                             backoff between tries) before it counts as
                             failed                           [default: 1]
-    --port <N>              serve: TCP port on 127.0.0.1 (0 binds an
-                            ephemeral port and announces it);
-                            submit: the server's port         [default: 0]
-    --serve-state <DIR>     serve: state directory for the queue journal
-                            and result cache; restart with the same
-                            directory to resume   [default: .oasis-serve]
-    --queue-depth <N>       serve: admission cap on pending + in-flight
-                            jobs; beyond it submissions get a typed
-                            overload rejection             [default: 256]
-    --conn-inflight <N>     serve: per-connection cap on unresolved
-                            jobs                            [default: 64]
-    --idle-timeout-secs <S> serve: close connections idle this long with
-                            no jobs in flight               [default: 30]
-    --submit-stats          submit: request the server's counter snapshot
-                            after the batch and print it to stderr
-    --submit-timeout-secs <S> submit: overall deadline for the batch
-                                                           [default: 600]
-    --retries <N>           submit: extra attempts after a transient
-                            connect failure or a typed overloaded
-                            rejection (0 = fail fast)       [default: 0]
-    --retry-backoff-ms <MS> submit: first retry delay; doubles after
-                            every attempt                 [default: 100]
     --chaos-filter <SUBSTR> chaos: run only the matrix cells whose
                             workload/site/kind label contains SUBSTR
 
@@ -157,10 +127,6 @@ EXAMPLES:
     oasis-sim inject --seed 42 --jobs 4 --job-deadline-secs 120
     oasis-sim fuzz --seed 7 --cases 200 --journal sweep.jnl
     oasis-sim fuzz --seed 7 --cases 200 --journal sweep.jnl --resume-sweep
-    oasis-sim serve --port 7077 --serve-state /tmp/sweepd --jobs 4
-    oasis-sim submit --port 7077 --seed 7 --cases 20 --submit-stats
-    oasis-sim submit --port 7077 --replay tests/corpus
-    oasis-sim submit --port 7077 --seed 7 --retries 3 --retry-backoff-ms 250
     oasis-sim chaos --jobs 4
     oasis-sim chaos --chaos-filter journal.append
     oasis-sim run --app C2D --policy oasis \\
@@ -186,10 +152,6 @@ pub enum Command {
     BenchSmoke,
     /// Property-based fuzzing with the differential policy oracle.
     Fuzz,
-    /// Crash-durable sweep server over a localhost socket.
-    Serve,
-    /// Client: send scenario jobs to a running sweep server.
-    Submit,
     /// Storage-chaos audit over the failpoint site x fault-kind matrix.
     Chaos,
     /// Usage text.
@@ -273,26 +235,6 @@ pub struct Cli {
     pub journal: Option<String>,
     /// Resume a journaled sweep instead of starting it over.
     pub resume_sweep: bool,
-    /// `serve`: TCP port to bind (0 = ephemeral); `submit`: the server's
-    /// port.
-    pub port: u16,
-    /// `serve`: state directory for the queue journal and result cache.
-    pub serve_state: Option<String>,
-    /// `serve`: admission cap on pending + in-flight jobs.
-    pub queue_depth: usize,
-    /// `serve`: per-connection cap on unresolved jobs.
-    pub conn_inflight: usize,
-    /// `serve`: idle-connection cutoff, seconds.
-    pub idle_timeout_secs: u64,
-    /// `submit`: request and print the server's counter snapshot.
-    pub submit_stats: bool,
-    /// `submit`: overall batch deadline, seconds.
-    pub submit_timeout_secs: u64,
-    /// `submit`: extra attempts after a transient connect failure or a
-    /// typed overloaded rejection. 0 keeps the classic fail-fast shape.
-    pub retries: u32,
-    /// `submit`: first retry delay in milliseconds; doubles per attempt.
-    pub retry_backoff_ms: u64,
     /// `chaos`: run only the cells whose label contains this substring.
     pub chaos_filter: Option<String>,
 }
@@ -356,8 +298,6 @@ impl Cli {
             Some("stats") => Command::Stats,
             Some("bench-smoke") => Command::BenchSmoke,
             Some("fuzz") => Command::Fuzz,
-            Some("serve") => Command::Serve,
-            Some("submit") => Command::Submit,
             Some("chaos") => Command::Chaos,
             Some("help") | Some("--help") | Some("-h") | None => Command::Help,
             Some(other) => return Err(ParseError(format!("unknown command '{other}'"))),
@@ -397,15 +337,6 @@ impl Cli {
             job_attempts: 1,
             journal: None,
             resume_sweep: false,
-            port: 0,
-            serve_state: None,
-            queue_depth: 256,
-            conn_inflight: 64,
-            idle_timeout_secs: 30,
-            submit_stats: false,
-            submit_timeout_secs: 600,
-            retries: 0,
-            retry_backoff_ms: 100,
             chaos_filter: None,
         };
         let mut policy_name: Option<String> = None;
@@ -566,58 +497,7 @@ impl Cli {
                 }
                 "--journal" => cli.journal = Some(value("--journal")?),
                 "--resume-sweep" => cli.resume_sweep = true,
-                "--port" => {
-                    cli.port = value("--port")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--port: {e}")))?;
-                }
-                "--serve-state" => cli.serve_state = Some(value("--serve-state")?),
-                "--queue-depth" => {
-                    cli.queue_depth = value("--queue-depth")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--queue-depth: {e}")))?;
-                    if cli.queue_depth == 0 {
-                        return Err(ParseError("--queue-depth must be positive".into()));
-                    }
-                }
-                "--conn-inflight" => {
-                    cli.conn_inflight = value("--conn-inflight")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--conn-inflight: {e}")))?;
-                    if cli.conn_inflight == 0 {
-                        return Err(ParseError("--conn-inflight must be positive".into()));
-                    }
-                }
-                "--idle-timeout-secs" => {
-                    let secs: u64 = value("--idle-timeout-secs")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--idle-timeout-secs: {e}")))?;
-                    if secs == 0 {
-                        return Err(ParseError("--idle-timeout-secs must be positive".into()));
-                    }
-                    cli.idle_timeout_secs = secs;
-                }
-                "--submit-stats" => cli.submit_stats = true,
-                "--retries" => {
-                    cli.retries = value("--retries")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--retries: {e}")))?;
-                }
-                "--retry-backoff-ms" => {
-                    cli.retry_backoff_ms = value("--retry-backoff-ms")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--retry-backoff-ms: {e}")))?;
-                }
                 "--chaos-filter" => cli.chaos_filter = Some(value("--chaos-filter")?),
-                "--submit-timeout-secs" => {
-                    let secs: u64 = value("--submit-timeout-secs")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--submit-timeout-secs: {e}")))?;
-                    if secs == 0 {
-                        return Err(ParseError("--submit-timeout-secs must be positive".into()));
-                    }
-                    cli.submit_timeout_secs = secs;
-                }
                 "--matrix" => {
                     let v = value("--matrix")?;
                     match v.as_str() {
@@ -649,11 +529,6 @@ impl Cli {
         }
         if cli.resume_sweep && cli.journal.is_none() {
             return Err(ParseError("--resume-sweep requires --journal".into()));
-        }
-        if cli.command == Command::Submit && cli.port == 0 {
-            return Err(ParseError(
-                "submit needs --port (the port the server announced)".into(),
-            ));
         }
         // Validate here (flags arrive in any order) so a bad plan is a
         // parse error instead of a panic when the fabric is built.
@@ -955,97 +830,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_submit_flags_parse() {
-        let c = parse(&[
-            "serve",
-            "--port",
-            "7077",
-            "--serve-state",
-            "/tmp/sweepd",
-            "--queue-depth",
-            "8",
-            "--conn-inflight",
-            "2",
-            "--idle-timeout-secs",
-            "5",
-            "--jobs",
-            "4",
-        ])
-        .unwrap();
-        assert_eq!(c.command, Command::Serve);
-        assert_eq!(c.port, 7077);
-        assert_eq!(c.serve_state.as_deref(), Some("/tmp/sweepd"));
-        assert_eq!(c.queue_depth, 8);
-        assert_eq!(c.conn_inflight, 2);
-        assert_eq!(c.idle_timeout_secs, 5);
-        assert_eq!(c.jobs, 4);
-
-        // serve defaults: ephemeral port, production-shaped limits.
-        let d = parse(&["serve"]).unwrap();
-        assert_eq!(d.port, 0);
-        assert_eq!(d.queue_depth, 256);
-        assert_eq!(d.conn_inflight, 64);
-        assert_eq!(d.idle_timeout_secs, 30);
-
-        let s = parse(&[
-            "submit",
-            "--port",
-            "7077",
-            "--seed",
-            "7",
-            "--cases",
-            "20",
-            "--submit-stats",
-        ])
-        .unwrap();
-        assert_eq!(s.command, Command::Submit);
-        assert_eq!(s.port, 7077);
-        assert!(s.submit_stats);
-        assert_eq!(s.submit_timeout_secs, 600);
-
-        // submit without a port cannot connect anywhere: parse error.
-        let err = parse(&["submit", "--seed", "7"]).unwrap_err();
-        assert!(err.0.contains("--port"), "{err}");
-
-        for bad in [
-            ["serve", "--queue-depth", "0"],
-            ["serve", "--conn-inflight", "0"],
-            ["serve", "--idle-timeout-secs", "0"],
-        ] {
-            assert!(parse(&bad).unwrap_err().0.contains("positive"), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn chaos_and_retry_flags_parse() {
+    fn chaos_flags_parse() {
         let c = parse(&["chaos", "--jobs", "4", "--chaos-filter", "journal"]).unwrap();
         assert_eq!(c.command, Command::Chaos);
         assert_eq!(c.jobs, 4);
         assert_eq!(c.chaos_filter.as_deref(), Some("journal"));
         assert_eq!(parse(&["chaos"]).unwrap().chaos_filter, None);
-
-        let s = parse(&[
-            "submit",
-            "--port",
-            "7077",
-            "--retries",
-            "3",
-            "--retry-backoff-ms",
-            "250",
-        ])
-        .unwrap();
-        assert_eq!(s.retries, 3);
-        assert_eq!(s.retry_backoff_ms, 250);
-
-        // Defaults keep the classic fail-fast client.
-        let d = parse(&["submit", "--port", "7077"]).unwrap();
-        assert_eq!(d.retries, 0);
-        assert_eq!(d.retry_backoff_ms, 100);
-
-        assert!(parse(&["submit", "--port", "7077", "--retries", "x"])
-            .unwrap_err()
-            .0
-            .contains("--retries"));
     }
 
     #[test]

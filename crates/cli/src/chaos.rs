@@ -3,10 +3,9 @@
 //!
 //! Every durability claim the simulator makes — atomic checkpoint
 //! publication, longest-clean-prefix journal salvage, corpus repro
-//! writes, the serve cache and admission journal — is exercised here
-//! under injected EIO, ENOSPC, short writes, fsync failures, rename
-//! failures, and torn appends. Each matrix cell asserts the invariant
-//! triad:
+//! writes — is exercised here under injected EIO, ENOSPC, short writes,
+//! fsync failures, rename failures, and torn appends. Each matrix cell
+//! asserts the invariant triad:
 //!
 //! 1. **No panic.** A cell runs as a supervised pool job; a panicking
 //!    cell is quarantined and reported, never silently swallowed.
@@ -17,22 +16,18 @@
 //!    converges to output byte-identical to an uninterrupted run, or the
 //!    fault surfaced as a typed error naming the injection site.
 //!
-//! Checkpoint, journal, and corpus cells use thread-scoped fail plans and
-//! fan out over the supervised pool (`--jobs`). Serve cells drive a live
-//! server whose worker threads the thread scope cannot reach, so they arm
-//! process-scoped plans filtered to the cell's state directory and run
-//! serially after the pool phase.
+//! Cells use thread-scoped fail plans and fan out over the supervised
+//! pool (`--jobs`).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
 
-use oasis_engine::failpoint::{arm_process, arm_thread, FailPlan, FaultKind};
-use oasis_engine::pool::{run_sweep, Job, JobError, JobOutcome, PoolConfig, StopHandle};
+use oasis_engine::failpoint::{arm_thread, FailPlan, FaultKind};
+use oasis_engine::pool::{run_sweep, Job, JobError, JobOutcome};
+use oasis_engine::ScratchDir;
 use oasis_fuzz::{report_json, run_fuzz, FuzzOptions, Scenario};
 use oasis_mgpu::System;
-use oasis_serve::{submit_batch, ServeConfig, ServeSummary};
 use oasis_workloads::generate;
 
 use crate::{pool_config, Cli, CliError};
@@ -50,12 +45,6 @@ enum Surface {
     JournalAppend,
     /// Corpus repro writes.
     Corpus,
-    /// Serve result-cache writes: recompute-and-serve degradation.
-    ServeCacheWrite,
-    /// Serve result-cache reads: corrupt entries recompute and heal.
-    ServeCacheRead,
-    /// Serve admission journal: typed `unavailable` plus restart recovery.
-    ServeJournal,
 }
 
 /// One site x kind cell of the audit matrix.
@@ -72,7 +61,6 @@ impl Cell {
             Surface::CheckpointPublish | Surface::CheckpointCodec => "checkpoint",
             Surface::JournalBegin | Surface::JournalAppend => "journal",
             Surface::Corpus => "corpus",
-            Surface::ServeCacheWrite | Surface::ServeCacheRead | Surface::ServeJournal => "serve",
         }
     }
 
@@ -124,13 +112,6 @@ fn matrix() -> Vec<Cell> {
     );
     push(Surface::JournalAppend, "journal.append.fsync", &[FsyncFail]);
     push(Surface::Corpus, "corpus.write", &[Eio, Enospc]);
-    push(
-        Surface::ServeCacheWrite,
-        "serve.cache.write",
-        &[Eio, Enospc],
-    );
-    push(Surface::ServeCacheRead, "serve.cache.read", &[Eio]);
-    push(Surface::ServeJournal, "journal.append.write", &[Eio]);
     cells
 }
 
@@ -452,224 +433,6 @@ fn run_corpus_cell(cell: Cell, dir: &Path, r: &Reference) -> Result<String, Stri
     Ok("write failed typed with no leftovers, retry byte-identical".into())
 }
 
-/// A live in-process sweep server for the serve cells.
-struct ServeHarness {
-    stop: StopHandle,
-    port: u16,
-    handle: std::thread::JoinHandle<Result<ServeSummary, String>>,
-}
-
-fn start_serve(state: PathBuf) -> Result<ServeHarness, String> {
-    let mut cfg = ServeConfig::new(state);
-    cfg.pool = PoolConfig::with_workers(2);
-    cfg.idle_timeout = Duration::from_secs(120);
-    let stop = StopHandle::new();
-    let stop2 = stop.clone();
-    let (ptx, prx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        oasis_serve::run_serve(cfg, stop2, move |port| {
-            let _ = ptx.send(port);
-        })
-    });
-    match prx.recv_timeout(Duration::from_secs(30)) {
-        Ok(port) => Ok(ServeHarness { stop, port, handle }),
-        Err(_) => {
-            let err = match handle.join() {
-                Ok(Ok(_)) => "server exited before announcing its port".to_string(),
-                Ok(Err(e)) => e,
-                Err(_) => "server thread panicked".to_string(),
-            };
-            Err(format!("server did not come up: {err}"))
-        }
-    }
-}
-
-impl ServeHarness {
-    fn shutdown(self) -> Result<ServeSummary, String> {
-        self.stop.stop();
-        self.handle
-            .join()
-            .map_err(|_| "server thread panicked".to_string())?
-    }
-}
-
-fn counter(summary: &ServeSummary, key: &str) -> u64 {
-    summary
-        .counters
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
-}
-
-const SUBMIT_TIMEOUT: Duration = Duration::from_secs(120);
-
-fn submit_one(port: u16, scenario: &Scenario) -> Result<String, String> {
-    let outcome = submit_batch(port, std::slice::from_ref(scenario), false, SUBMIT_TIMEOUT)?;
-    outcome
-        .results
-        .first()
-        .cloned()
-        .ok_or_else(|| "submit resolved no result line".to_string())
-}
-
-/// A process-scoped plan confined to this cell's state directory, so the
-/// server's worker threads hit it and nothing else ever can.
-fn process_plan(cell: Cell, state_tag: &str, count_all: bool) -> FailPlan {
-    let mut plan = FailPlan::once(cell.site, cell.kind);
-    plan.after = Some(0);
-    if count_all {
-        plan.count = u64::MAX;
-    }
-    plan.path = Some(state_tag.to_string());
-    plan
-}
-
-/// Cache-write cell: every cache write fails, yet both the first and the
-/// recomputed second submission complete with identical verdicts, the
-/// failures are counted, and the journal stays healthy.
-fn run_serve_cache_write_cell(cell: Cell, state: PathBuf) -> Result<String, String> {
-    let state_tag = state
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .ok_or("state dir has no name")?;
-    let scenario = Scenario::generate(41);
-    let scope = arm_process(process_plan(cell, &state_tag, true));
-    let server = start_serve(state)?;
-    let first = submit_one(server.port, &scenario)?;
-    let second = submit_one(server.port, &scenario)?;
-    let summary = server.shutdown()?;
-    let fired = scope.fired();
-    drop(scope);
-
-    if !first.contains(" completed: ") || !second.contains(" completed: ") {
-        return Err(format!(
-            "submissions must complete uncached under cache-write faults:\n{first}\n{second}"
-        ));
-    }
-    if first != second {
-        return Err("recomputed verdict differs from the first".into());
-    }
-    if fired < 2 {
-        return Err(format!(
-            "failpoint fired {fired} time(s), expected both writes"
-        ));
-    }
-    let failed = counter(&summary, "serve.cache_write_failed");
-    if failed < 2 {
-        return Err(format!("cache-write failures under-counted: {failed}"));
-    }
-    if let Some(e) = summary.journal_error {
-        return Err(format!("journal must stay healthy in this cell: {e}"));
-    }
-    Ok("both submissions served uncached, identical verdicts, failures counted".into())
-}
-
-/// Cache-read cell: a cached entry that turns unreadable is treated as
-/// corrupt, recomputed, and the served verdict is byte-identical.
-fn run_serve_cache_read_cell(cell: Cell, state: PathBuf) -> Result<String, String> {
-    let state_tag = state
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .ok_or("state dir has no name")?;
-    let scenario = Scenario::generate(42);
-    let server = start_serve(state)?;
-    let first = submit_one(server.port, &scenario)?;
-    if !first.contains(" completed: ") {
-        return Err(format!("priming submission did not complete: {first}"));
-    }
-
-    let scope = arm_process(process_plan(cell, &state_tag, false));
-    let second = submit_one(server.port, &scenario)?;
-    let fired = scope.fired();
-    drop(scope);
-    let summary = server.shutdown()?;
-
-    if fired != 1 {
-        return Err(format!(
-            "failpoint fired {fired} time(s), expected exactly 1"
-        ));
-    }
-    if second != first {
-        return Err(format!(
-            "recomputed verdict differs from the cached one:\n{first}\n{second}"
-        ));
-    }
-    if let Some(e) = summary.journal_error {
-        return Err(format!("journal must stay healthy in this cell: {e}"));
-    }
-    Ok("unreadable cache entry recomputed, verdict byte-identical".into())
-}
-
-/// Admission-journal cell: with the queue journal broken, cached results
-/// keep flowing, new work is refused with the typed `unavailable`
-/// rejection, the degradation reaches the summary, and a restart on the
-/// same state directory recovers full service.
-fn run_serve_journal_cell(cell: Cell, state: PathBuf) -> Result<String, String> {
-    let state_tag = state
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .ok_or("state dir has no name")?;
-    let a = Scenario::generate(44);
-    let b = Scenario::generate(45);
-
-    let server = start_serve(state.clone())?;
-    let cached = submit_one(server.port, &a)?;
-    if !cached.contains(" completed: ") {
-        return Err(format!("priming submission did not complete: {cached}"));
-    }
-
-    let scope = arm_process(process_plan(cell, &state_tag, true));
-    let hit = submit_one(server.port, &a)?;
-    let refused = submit_one(server.port, &b)?;
-    let summary = server.shutdown()?;
-    drop(scope);
-
-    if hit != cached {
-        return Err("cached result changed while the journal was broken".into());
-    }
-    if !refused.contains(" rejected: unavailable: ") {
-        return Err(format!("new work must be refused typed: {refused}"));
-    }
-    let err = summary
-        .journal_error
-        .as_deref()
-        .ok_or("the degradation never reached the serve summary")?;
-    if !err.contains("journal append failed") {
-        return Err(format!("summary names the wrong failure: {err}"));
-    }
-    if counter(&summary, "serve.rejected_unavailable") < 1 {
-        return Err("the unavailable rejection was not counted".into());
-    }
-
-    // Disarmed restart on the same state: the refused job now computes.
-    let server = start_serve(state)?;
-    let after = submit_one(server.port, &b)?;
-    let summary = server.shutdown()?;
-    if !after.contains(" completed: ") {
-        return Err(format!("restart did not recover admissions: {after}"));
-    }
-    if let Some(e) = summary.journal_error {
-        return Err(format!("restarted server is still degraded: {e}"));
-    }
-    Ok("cache served, admission refused typed, restart recovered".into())
-}
-
-/// Runs one serve-surface cell serially on the calling thread, converting
-/// a panic anywhere in the cell into a failed (never fatal) verdict.
-fn run_serve_cell(cell: Cell, state: PathBuf) -> Result<String, String> {
-    let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cell.surface {
-        Surface::ServeCacheWrite => run_serve_cache_write_cell(cell, state),
-        Surface::ServeCacheRead => run_serve_cache_read_cell(cell, state),
-        Surface::ServeJournal => run_serve_journal_cell(cell, state),
-        _ => unreachable!("not a serve cell"),
-    }));
-    match body {
-        Ok(result) => result,
-        Err(_) => Err("cell panicked".into()),
-    }
-}
-
 /// Runs the storage-chaos audit and renders one verdict line per cell.
 ///
 /// # Errors
@@ -690,28 +453,15 @@ pub(crate) fn run_chaos(cli: &Cli) -> Result<String, CliError> {
         }
     }
 
-    let root = std::env::temp_dir().join(format!("oasis-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).map_err(|e| format!("chaos work dir: {e}"))?;
-    let reference = Arc::new(build_reference(&root).map_err(CliError::Failure)?);
+    let root = ScratchDir::new("chaos").map_err(|e| format!("chaos work dir: {e}"))?;
+    let reference = Arc::new(build_reference(root.path()).map_err(CliError::Failure)?);
 
-    // Phase 1: checkpoint, journal, and corpus cells fan out over the
-    // supervised pool. Thread-scoped plans keep concurrent cells fully
-    // isolated; a panicking cell is quarantined, not fatal.
-    let pool_cells: Vec<(usize, Cell)> = cells
+    // Thread-scoped plans keep concurrent cells fully isolated; a
+    // panicking cell is quarantined, not fatal.
+    let jobs: Vec<Job<String>> = cells
         .iter()
-        .copied()
         .enumerate()
-        .filter(|(_, c)| {
-            !matches!(
-                c.surface,
-                Surface::ServeCacheWrite | Surface::ServeCacheRead | Surface::ServeJournal
-            )
-        })
-        .collect();
-    let jobs: Vec<Job<String>> = pool_cells
-        .iter()
-        .map(|&(idx, cell)| {
+        .map(|(idx, &cell)| {
             let r = Arc::clone(&reference);
             let dir = root.join(format!("cell-{idx:02}"));
             Job::new(cell.label(), move |_ctx| {
@@ -722,44 +472,22 @@ pub(crate) fn run_chaos(cli: &Cli) -> Result<String, CliError> {
                     Surface::JournalBegin => run_journal_begin_cell(cell, &dir, &r),
                     Surface::JournalAppend => run_journal_append_cell(cell, &dir, &r),
                     Surface::Corpus => run_corpus_cell(cell, &dir, &r),
-                    _ => unreachable!("serve cells run serially"),
                 }
             })
         })
         .collect();
     let sweep = run_sweep(&pool_config(cli), jobs);
-    let mut verdicts: std::collections::BTreeMap<usize, Result<String, String>> =
-        std::collections::BTreeMap::new();
-    for (record, &(idx, _)) in sweep.jobs.iter().zip(&pool_cells) {
-        let verdict = match &record.outcome {
+    drop(root);
+    let verdicts: Vec<Result<String, String>> = sweep
+        .jobs
+        .iter()
+        .map(|record| match &record.outcome {
             JobOutcome::Completed(line) => Ok(line.clone()),
             JobOutcome::Failed(JobError::Failed(msg)) => Err(msg.clone()),
             JobOutcome::Failed(e) => Err(format!("job {e}")),
             JobOutcome::Quarantined(e) => Err(format!("panicked: quarantined ({e})")),
-        };
-        verdicts.insert(idx, verdict);
-    }
-
-    // Phase 2: serve cells run serially — their process-scoped plans are
-    // path-filtered to the cell's own state directory, and the process
-    // token serializes them anyway.
-    for (serve_idx, (idx, cell)) in cells
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(_, c)| {
-            matches!(
-                c.surface,
-                Surface::ServeCacheWrite | Surface::ServeCacheRead | Surface::ServeJournal
-            )
         })
-        .enumerate()
-    {
-        let state = root.join(format!("serve-{serve_idx}"));
-        verdicts.insert(idx, run_serve_cell(cell, state));
-    }
-
-    let _ = std::fs::remove_dir_all(&root);
+        .collect();
 
     let mut out = format!(
         "storage chaos: {} cell(s) over {} site(s)\n",
@@ -772,7 +500,7 @@ pub(crate) fn run_chaos(cli: &Cli) -> Result<String, CliError> {
     );
     let mut failures = 0usize;
     for (idx, cell) in cells.iter().enumerate() {
-        match verdicts.get(&idx) {
+        match verdicts.get(idx) {
             Some(Ok(line)) => {
                 let _ = writeln!(out, "  ok    {:<42} {line}", cell.label());
             }

@@ -29,17 +29,10 @@ pub use args::{Cli, Command, ParseError};
 /// |------|--------------------------------------------------------------|
 /// | 0    | success — the command ran to completion with every gate held |
 /// | 1    | [`CliError::Failure`]: bad arguments, a failed simulation or |
-/// |      | gate, a violated chaos invariant, a degraded serve run (the  |
-/// |      | admission journal broke mid-run), or a `submit` batch whose  |
-/// |      | retry budget was exhausted                                   |
+/// |      | gate, or a violated chaos invariant                          |
 /// | 75   | [`CliError::Interrupted`] (`EX_TEMPFAIL`): a journaled sweep |
-/// |      | or serve run drained cleanly on SIGINT/SIGTERM and can be    |
-/// |      | finished — resume with `--resume-sweep` / `--serve-state`    |
-///
-/// Typed *per-job* rejections (`overloaded`, `unavailable`,
-/// `connection-inflight`) are not process exits: they arrive as result
-/// lines, and `submit` maps any unresolved job onto exit 1 after its
-/// `--retries` budget is spent.
+/// |      | drained cleanly on SIGINT/SIGTERM and can be finished —      |
+/// |      | resume with `--resume-sweep`                                 |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
     /// Ordinary failure: message on stderr, exit code 1.
@@ -414,123 +407,6 @@ fn fuzz(cli: &Cli, stop: Option<&StopHandle>) -> Result<String, CliError> {
     })
 }
 
-/// Runs the crash-durable sweep server until SIGINT/SIGTERM drains it.
-///
-/// The listening line goes straight to stdout (flushed) the moment the
-/// socket is live, because the normal return path only prints after the
-/// server exits — clients and the CI gates wait on that line to connect.
-/// A graceful drain is the *expected* way out, reported as
-/// [`CliError::Interrupted`] so the process exits `EX_TEMPFAIL` (75) with
-/// the resume hint; admitted-but-unfinished jobs stay in the journal and
-/// a restart with the same `--serve-state` finishes them.
-fn serve(cli: &Cli, stop: Option<&StopHandle>) -> Result<String, CliError> {
-    let state_dir = std::path::PathBuf::from(cli.serve_state.as_deref().unwrap_or(".oasis-serve"));
-    let mut cfg = oasis_serve::ServeConfig::new(state_dir.clone());
-    cfg.port = cli.port;
-    cfg.queue_depth = cli.queue_depth;
-    cfg.conn_inflight = cli.conn_inflight;
-    cfg.idle_timeout = std::time::Duration::from_secs(cli.idle_timeout_secs);
-    cfg.pool = pool_config(cli);
-    let stop = stop.cloned().unwrap_or_else(StopHandle::new);
-
-    let summary = oasis_serve::run_serve(cfg, stop, |port| {
-        println!("serve: listening on 127.0.0.1:{port}");
-        let _ = std::io::Write::flush(&mut std::io::stdout());
-    })
-    .map_err(CliError::Failure)?;
-
-    // A degraded run (broken admission journal) kept serving cached
-    // results but refused new work — that is exit 1, never a silent 75.
-    if let Some(err) = &summary.journal_error {
-        return Err(CliError::Failure(format!(
-            "serve: degraded and drained: {err}; restart with --serve-state {} to \
-             recover the journal and resume admissions",
-            state_dir.display(),
-        )));
-    }
-
-    let mut counters = String::new();
-    for (key, value) in &summary.counters {
-        let _ = writeln!(counters, "  {key} = {value}");
-    }
-    Err(CliError::Interrupted(format!(
-        "serve: drained cleanly after {} adjudication(s); counters:\n{counters}\
-         restart with --serve-state {} to resume any journaled jobs",
-        summary.adjudicated,
-        state_dir.display(),
-    )))
-}
-
-/// Sends a batch of scenarios to a running sweep server and prints one
-/// deterministic result line per submission.
-///
-/// Scenarios come from `--replay` (a corpus file or directory) or are
-/// generated exactly the way `fuzz --seed N --cases K` would draw them,
-/// so a sweep can be reproduced locally or through the server
-/// interchangeably. Progress and the optional `--submit-stats` counter
-/// snapshot go to stderr; stdout carries only content-derived result
-/// lines, byte-identical across server restarts and cache hits.
-fn submit(cli: &Cli) -> Result<String, CliError> {
-    let scenarios: Vec<oasis_fuzz::Scenario> = match &cli.replay {
-        Some(path) => {
-            let p = std::path::Path::new(path);
-            if p.is_dir() {
-                let corpus = oasis_fuzz::load_dir(p).map_err(CliError::Failure)?;
-                for s in &corpus.skipped {
-                    eprintln!("submit: skipped {}: {}", s.path.display(), s.reason);
-                }
-                if corpus.is_empty() {
-                    return Err(CliError::Failure(format!(
-                        "--replay {path}: no corpus repros found"
-                    )));
-                }
-                corpus.entries.into_iter().map(|e| e.scenario).collect()
-            } else {
-                let text = std::fs::read_to_string(p)
-                    .map_err(|e| CliError::Failure(format!("--replay {path}: {e}")))?;
-                let (scenario, _recorded) = oasis_fuzz::from_json(&text)
-                    .map_err(|e| CliError::Failure(format!("--replay {path}: {e}")))?;
-                vec![scenario]
-            }
-        }
-        None => {
-            let seed = cli.seed.unwrap_or(0);
-            let mut master = oasis_engine::SimRng::seed_from_u64(seed);
-            (0..cli.cases)
-                .map(|_| oasis_fuzz::Scenario::generate(master.next_u64()))
-                .collect()
-        }
-    };
-
-    let outcome = oasis_serve::submit_batch_with_retry(
-        cli.port,
-        &scenarios,
-        cli.submit_stats,
-        std::time::Duration::from_secs(cli.submit_timeout_secs),
-        cli.retries,
-        std::time::Duration::from_millis(cli.retry_backoff_ms),
-    )
-    .map_err(CliError::Failure)?;
-
-    for line in &outcome.progress {
-        eprintln!("submit: {line}");
-    }
-    if cli.submit_stats {
-        for (key, value) in &outcome.stats {
-            eprintln!("submit: stat {key} = {value}");
-        }
-    }
-    let body = outcome.results.join("\n");
-    if outcome.failed > 0 {
-        return Err(CliError::Failure(format!(
-            "{body}\nsubmit: {} of {} job(s) did not complete cleanly",
-            outcome.failed,
-            scenarios.len()
-        )));
-    }
-    Ok(body)
-}
-
 /// Executes a parsed invocation, returning the text to print or a
 /// human-readable failure (nonzero exit).
 ///
@@ -673,8 +549,6 @@ pub fn run_with_stop(cli: &Cli, stop: Option<StopHandle>) -> Result<String, CliE
         }
         Command::BenchSmoke => smoke::bench_smoke(cli)?,
         Command::Fuzz => fuzz(cli, stop)?,
-        Command::Serve => serve(cli, stop)?,
-        Command::Submit => submit(cli)?,
         Command::Chaos => chaos::run_chaos(cli)?,
         Command::Help => args::USAGE.to_string(),
     })
@@ -683,7 +557,11 @@ pub fn run_with_stop(cli: &Cli, stop: Option<StopHandle>) -> Result<String, CliE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_engine::json;
+    use oasis_engine::{json, ScratchDir};
+
+    fn scratch(tag: &str) -> ScratchDir {
+        ScratchDir::new(tag).expect("scratch dir")
+    }
 
     fn parse(argv: &[&str]) -> Cli {
         Cli::parse(argv.iter().map(|s| s.to_string())).expect("parse")
@@ -794,9 +672,8 @@ mod tests {
 
     #[test]
     fn checkpoint_write_and_resume_round_trip() {
-        let dir = std::env::temp_dir().join("oasis-cli-ckpt-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let dir = dir.to_str().expect("utf-8 temp dir");
+        let scratch = scratch("cli-ckpt");
+        let dir = scratch.path().to_str().expect("utf-8 temp dir");
         // C2D has 9 phases, so `--checkpoint-every 4` takes genuine mid-run
         // checkpoints at epochs 4 and 8.
         let straight = run_ok(&["run", "--app", "C2D", "--footprint-mb", "4", "--json"]);
@@ -867,9 +744,8 @@ mod tests {
 
     #[test]
     fn fuzz_clean_session_and_replay_round_trip() {
-        let dir = std::env::temp_dir().join("oasis-cli-fuzz-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let dir_s = dir.to_str().expect("utf-8 temp dir");
+        let dir = scratch("cli-fuzz");
+        let dir_s = dir.path().to_str().expect("utf-8 temp dir");
 
         // A tiny session on the healthy simulator is clean.
         let out = run_ok(&["fuzz", "--cases", "2", "--corpus-dir", dir_s]);
@@ -883,7 +759,7 @@ mod tests {
 
         // Replay a corpus file written by hand: clean scenario passes.
         let scenario = oasis_fuzz::Scenario::generate(0);
-        let path = oasis_fuzz::write_repro(&dir, &scenario, None).expect("write repro");
+        let path = oasis_fuzz::write_repro(dir.path(), &scenario, None).expect("write repro");
         let path_s = path.to_str().expect("utf-8 path");
         let out = run_ok(&["fuzz", "--replay", path_s]);
         assert!(out.contains("clean"), "{out}");
@@ -892,14 +768,11 @@ mod tests {
         let err = run(&parse(&["fuzz", "--replay", "/nonexistent/r.json"]))
             .expect_err("missing replay file fails");
         assert!(err.to_string().contains("--replay"), "{err}");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn trace_out_writes_deterministic_chrome_trace() {
-        let dir = std::env::temp_dir().join("oasis-cli-trace-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = scratch("cli-trace");
         let path_a = dir.join("a.json");
         let path_b = dir.join("b.json");
         for path in [&path_a, &path_b] {
@@ -955,14 +828,9 @@ mod tests {
 
     #[test]
     fn bench_smoke_writes_results_and_gates_on_regression() {
-        let dir = std::env::temp_dir().join(format!(
-            "oasis-cli-bench-smoke-gates-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = scratch("cli-bench-smoke-gates");
         let out_file = dir.join("BENCH_test.json");
         let out_path = out_file.to_str().expect("utf-8");
-        let _ = std::fs::remove_file(out_path);
         // First run (quick matrix keeps the test snappy): no baseline yet,
         // must pass and create the file.
         let first = run_ok(&[
@@ -978,7 +846,11 @@ mod tests {
         let json = std::fs::read_to_string(out_path).expect("bench file");
         assert!(json.contains("\"oasis-bench-smoke-v2\""));
         assert!(json.contains("\"C2D\"") && json.contains("\"MM\""));
-        assert!(json.contains("\"rss_kb\""));
+        assert!(json.contains("\"peak_rss_kb\""));
+        assert!(
+            !json.contains("\"rss_kb\""),
+            "the per-cell watermark is gone"
+        );
         // Second run gates against the first and should be within 90%+
         // headroom of itself... but wall-clock noise exists, so only check
         // the happy path with the widest legal tolerance.
@@ -1019,6 +891,5 @@ mod tests {
         let err = err.to_string();
         assert!(err.contains("regression"), "{err}");
         assert!(err.contains("MM/oasis"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

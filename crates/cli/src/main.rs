@@ -25,7 +25,7 @@ fn main() -> ExitCode {
             // (and die on the second); everything else keeps the default
             // kill-now behavior.
             let stop = match cli.command {
-                Command::Fuzz | Command::Inject | Command::VerifyReplay | Command::Serve => {
+                Command::Fuzz | Command::Inject | Command::VerifyReplay => {
                     let stop = StopHandle::new();
                     signal::install_drain(stop.clone());
                     Some(stop)

@@ -56,10 +56,6 @@ struct Cell {
     wall_clock_us: u64,
     retired_steps: u64,
     steps_per_sec: f64,
-    /// Process peak-RSS watermark (kB) observed when the cell finished.
-    /// `VmHWM` is a process-wide high-water mark, so with the default
-    /// serial execution this reads as a running maximum across cells.
-    rss_kb: u64,
 }
 
 impl Cell {
@@ -69,6 +65,8 @@ impl Cell {
 }
 
 /// Peak resident set size in kB (`VmHWM`), or 0 where /proc is absent.
+/// It is a process-wide high-water mark, so it is reported once for the
+/// whole run rather than per cell.
 fn peak_rss_kb() -> u64 {
     #[cfg(target_os = "linux")]
     {
@@ -116,7 +114,6 @@ fn run_cell(app: App, policy_name: &'static str, runs: usize) -> Cell {
         wall_clock_us: best_wall,
         retired_steps: steps,
         steps_per_sec: steps as f64 / (best_wall as f64 / 1e6),
-        rss_kb: peak_rss_kb(),
     }
 }
 
@@ -132,7 +129,6 @@ fn render_json(cells: &[Cell]) -> String {
                 .raw("wall_clock_us", c.wall_clock_us)
                 .raw("retired_steps", c.retired_steps)
                 .raw("steps_per_sec", format_args!("{:.1}", c.steps_per_sec))
-                .raw("rss_kb", c.rss_kb)
                 .line()
         })
         .collect();
@@ -271,7 +267,6 @@ mod tests {
                 wall_clock_us: 2_000,
                 retired_steps: 1_000,
                 steps_per_sec: 500_000.0,
-                rss_kb: 10_240,
             },
             Cell {
                 app: "MM",
@@ -279,7 +274,6 @@ mod tests {
                 wall_clock_us: 4_000,
                 retired_steps: 1_000,
                 steps_per_sec: 250_000.0,
-                rss_kb: 10_304,
             },
         ];
         let json = render_json(&cells);
@@ -287,9 +281,13 @@ mod tests {
         assert!(json.contains("\"schema\": \"oasis-bench-smoke-v2\""));
         assert!(json.contains(
             "\n    {\"app\": \"C2D\", \"policy\": \"on-touch\", \"wall_clock_us\": 2000, \
-             \"retired_steps\": 1000, \"steps_per_sec\": 500000.0, \"rss_kb\": 10240},\n"
+             \"retired_steps\": 1000, \"steps_per_sec\": 500000.0},\n"
         ));
-        assert!(json.ends_with("\"rss_kb\": 10304}\n  ]\n}\n"), "{json}");
+        assert!(
+            json.ends_with("\"steps_per_sec\": 250000.0}\n  ]\n}\n"),
+            "{json}"
+        );
+        assert!(json.contains("\"peak_rss_kb\": "), "{json}");
         let parsed = parse_baseline(&json).expect("a rendered file parses");
         assert_eq!(
             parsed,

@@ -10,6 +10,7 @@
 use oasis_cli::Cli;
 use oasis_engine::failpoint::{arm_thread, FailPlan, FaultKind};
 use oasis_engine::fsio::{atomic_write, staging_path};
+use oasis_engine::ScratchDir;
 use oasis_mgpu::System;
 use oasis_workloads::generate;
 
@@ -36,8 +37,7 @@ fn a_kill_at_any_byte_offset_leaves_a_resumable_checkpoint() {
     let new = checkpoint_at(4);
     assert_ne!(old, new, "the two checkpoints must differ");
 
-    let dir = std::env::temp_dir().join(format!("oasis-ckpt-atomic-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = ScratchDir::new("ckpt-atomic").expect("scratch dir");
     let path = dir.join("C2D-oasis.ckpt");
     atomic_write(&path, &old).expect("publish old checkpoint");
 
@@ -75,8 +75,6 @@ fn a_kill_at_any_byte_offset_leaves_a_resumable_checkpoint() {
     assert_eq!(visible, new);
     let sys = System::resume(&mut visible.as_slice(), &trace).expect("new checkpoint resumes");
     assert_eq!(sys.next_epoch(), 4);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Injected storage faults on every `atomic_write` leg — create, write
@@ -100,8 +98,7 @@ fn injected_write_faults_leave_the_old_checkpoint_and_no_temp() {
     let old = checkpoint_at(2);
     let new = checkpoint_at(4);
 
-    let dir = std::env::temp_dir().join(format!("oasis-ckpt-inject-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = ScratchDir::new("ckpt-inject").expect("scratch dir");
     let path = dir.join("C2D-oasis.ckpt");
     atomic_write(&path, &old).expect("publish old checkpoint");
 
@@ -128,7 +125,7 @@ fn injected_write_faults_leave_the_old_checkpoint_and_no_temp() {
         );
 
         // No staging debris anywhere in the checkpoint directory.
-        let strays: Vec<String> = std::fs::read_dir(&dir)
+        let strays: Vec<String> = std::fs::read_dir(dir.path())
             .expect("read dir")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .filter(|n| n.contains(".tmp."))
@@ -149,14 +146,11 @@ fn injected_write_faults_leave_the_old_checkpoint_and_no_temp() {
     assert_eq!(visible, new);
     let sys = System::resume(&mut visible.as_slice(), &trace).expect("new resumes");
     assert_eq!(sys.next_epoch(), 4);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn checkpoint_runs_leave_no_stray_temp_files() {
-    let dir = std::env::temp_dir().join(format!("oasis-ckpt-clean-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = ScratchDir::new("ckpt-clean").expect("scratch dir");
     let cli = parse(&[
         "run",
         "--app",
@@ -166,10 +160,10 @@ fn checkpoint_runs_leave_no_stray_temp_files() {
         "--checkpoint-every",
         "4",
         "--checkpoint-dir",
-        dir.to_str().expect("utf-8"),
+        dir.path().to_str().expect("utf-8"),
     ]);
     oasis_cli::run(&cli).expect("checkpointed run succeeds");
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
+    let mut names: Vec<String> = std::fs::read_dir(dir.path())
         .expect("read dir")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .collect();
@@ -179,5 +173,4 @@ fn checkpoint_runs_leave_no_stray_temp_files() {
         "staging leftovers in checkpoint dir: {names:?}"
     );
     assert_eq!(names.len(), 2, "epochs 4 and 8: {names:?}");
-    std::fs::remove_dir_all(&dir).ok();
 }

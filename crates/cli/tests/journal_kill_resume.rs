@@ -7,21 +7,16 @@
 //! * SIGTERM → the sweep drains, writes the `Interrupted` trailer, and
 //!   exits with the resumable code 75; the resume finishes the report.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use oasis_engine::journal::{recover, JournalRecord};
+use oasis_engine::ScratchDir;
 
 const BIN: &str = env!("CARGO_BIN_EXE_oasis-sim");
 const SEED: &str = "7";
 const CASES: &str = "8";
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oasis-e2e-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
 
 fn fuzz_cmd(corpus: &Path, extra: &[&str]) -> Command {
     let mut cmd = Command::new(BIN);
@@ -60,11 +55,11 @@ fn wait_with_deadline(mut child: Child, limit: Duration) -> std::process::Output
 
 #[test]
 fn sigkill_midway_then_resume_is_byte_identical() {
-    let dir = temp_dir("sigkill");
+    let dir = ScratchDir::new("e2e-sigkill").expect("scratch dir");
     let journal = dir.join("sweep.jnl");
 
     // Reference: the identical sweep, no journal, straight through.
-    let straight = fuzz_cmd(&dir, &[]).output().expect("straight run");
+    let straight = fuzz_cmd(dir.path(), &[]).output().expect("straight run");
     assert!(
         straight.status.success(),
         "straight run failed: {straight:?}"
@@ -74,7 +69,7 @@ fn sigkill_midway_then_resume_is_byte_identical() {
     // Journaled run, SIGKILLed while cases are still in flight. If the
     // machine is so fast the sweep already finished, the test degrades to
     // resuming a complete journal — still a valid identity check.
-    let mut child = fuzz_cmd(&dir, &["--journal", journal.to_str().expect("utf-8")])
+    let mut child = fuzz_cmd(dir.path(), &["--journal", journal.to_str().expect("utf-8")])
         .spawn()
         .expect("spawn journaled run");
     std::thread::sleep(Duration::from_millis(2500));
@@ -84,7 +79,7 @@ fn sigkill_midway_then_resume_is_byte_identical() {
 
     // Resume: exit 0, stdout byte-identical to the uninterrupted run.
     let resumed = fuzz_cmd(
-        &dir,
+        dir.path(),
         &[
             "--journal",
             journal.to_str().expect("utf-8"),
@@ -121,21 +116,19 @@ fn sigkill_midway_then_resume_is_byte_identical() {
             _ => {}
         }
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 #[cfg(unix)]
 fn sigterm_drains_to_exit_75_and_resume_finishes() {
-    let dir = temp_dir("sigterm");
+    let dir = ScratchDir::new("e2e-sigterm").expect("scratch dir");
     let journal = dir.join("sweep.jnl");
 
-    let straight = fuzz_cmd(&dir, &[]).output().expect("straight run");
+    let straight = fuzz_cmd(dir.path(), &[]).output().expect("straight run");
     assert!(straight.status.success());
     let reference = deterministic_stdout(&straight.stdout);
 
-    let child = fuzz_cmd(&dir, &["--journal", journal.to_str().expect("utf-8")])
+    let child = fuzz_cmd(dir.path(), &["--journal", journal.to_str().expect("utf-8")])
         .spawn()
         .expect("spawn journaled run");
     std::thread::sleep(Duration::from_millis(2000));
@@ -168,7 +161,7 @@ fn sigterm_drains_to_exit_75_and_resume_finishes() {
     }
 
     let resumed = fuzz_cmd(
-        &dir,
+        dir.path(),
         &[
             "--journal",
             journal.to_str().expect("utf-8"),
@@ -179,6 +172,4 @@ fn sigterm_drains_to_exit_75_and_resume_finishes() {
     .expect("resumed run");
     assert!(resumed.status.success(), "resume failed: {resumed:?}");
     assert_eq!(reference, deterministic_stdout(&resumed.stdout));
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,21 +4,13 @@
 //! the straight run, dispatching exactly the ids the journal lacks.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
 use oasis_engine::journal::{recover, JournalRecord, JournalWriter};
+use oasis_engine::ScratchDir;
 
 const BIN: &str = env!("CARGO_BIN_EXE_oasis-sim");
-
-/// A directory owned by one test alone.
-fn temp_dir(test: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("oasis-sweep-resume-{}-{test}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
 
 /// Runs the binary with `args` plus `extra`, requiring success; returns
 /// stdout.
@@ -44,7 +36,7 @@ fn path_str(p: &Path) -> &str {
 /// adjudications of `keep`: same stdout, and only the other ids
 /// dispatched.
 fn assert_prefix_resume_is_byte_identical(test: &str, args: &[&str], keep: &[u64]) {
-    let dir = temp_dir(test);
+    let dir = ScratchDir::new(&format!("sweep-resume-{test}")).expect("scratch dir");
     let full_path = dir.join("full.jnl");
     let straight = stdout_of(args, &[]);
     assert_eq!(
@@ -89,7 +81,6 @@ fn assert_prefix_resume_is_byte_identical(test: &str, args: &[&str], keep: &[u64
         .collect();
     assert_eq!(dispatched, missing, "resume must dispatch only missing ids");
     assert_eq!(after.adjudicated.len(), full.adjudicated.len());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

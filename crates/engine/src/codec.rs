@@ -391,11 +391,7 @@ impl CheckpointWriter {
 /// Returns [`CodecError::Io`] naming the failure (the failpoint site when
 /// injected, the OS error otherwise).
 pub fn emit_checkpoint(sink: &mut dyn Write, bytes: &[u8]) -> Result<(), CodecError> {
-    match failpoint::on_write(
-        "codec.checkpoint",
-        std::path::Path::new("checkpoint"),
-        bytes.len(),
-    ) {
+    match failpoint::on_write("codec.checkpoint", bytes.len()) {
         failpoint::WriteFault::Clear => {}
         failpoint::WriteFault::Fail(e) => return Err(CodecError::Io(e.to_string())),
         failpoint::WriteFault::Torn { cut, error } => {

@@ -1,15 +1,13 @@
 //! Deterministic storage-fault injection: named failpoint sites with a
 //! seed-driven [`FailPlan`].
 //!
-//! PRs 7 and 9 made sweeps and the serve daemon crash-durable, but every
-//! recovery guarantee was only exercised against process kills — the
-//! filesystem itself was assumed perfect. Real services die to ENOSPC,
-//! EIO, and failing fsyncs far more often than to SIGKILL. This module
-//! lets tests and the `chaos` CLI subcommand inject exactly those faults
-//! at named sites threaded through the persistence surface
-//! ([`atomic_write`](crate::fsio::atomic_write) legs, journal appends and
-//! `Begin` publication, checkpoint emission, the serve result cache,
-//! corpus/trace/bench artifact writes), deterministically and replayably.
+//! Journaled sweeps are crash-durable, but a process kill is not the only
+//! way persistence fails: ENOSPC, EIO, and failing fsyncs are at least as
+//! common. This module lets tests and the `chaos` CLI subcommand inject
+//! exactly those faults at named sites threaded through the persistence
+//! surface ([`atomic_write`](crate::fsio::atomic_write) legs, journal
+//! appends and `Begin` publication, checkpoint emission, corpus/trace/bench
+//! artifact writes), deterministically and replayably.
 //!
 //! # Design
 //!
@@ -23,11 +21,7 @@
 //!   are unaffected.
 //! - **Thread-scoped activation** ([`arm_thread`]) arms a plan for the
 //!   calling thread only — parallel pool workers inject independently and
-//!   concurrent tests never see each other's faults. **Process-scoped
-//!   activation** ([`arm_process`]) arms every thread, which is what the
-//!   `chaos` serve cells need (journal and cache writes happen on the
-//!   server's scheduler and connection threads); process scopes are
-//!   serialized against each other so two cannot interleave.
+//!   concurrent tests never see each other's faults.
 //! - **Deterministic and replayable**: the plan is pure configuration
 //!   (spec grammar below); every firing is recorded with its site, kind,
 //!   hit index, and cut, and the seed drives all derived choices through
@@ -39,7 +33,7 @@
 //! `key:value` clauses.
 //!
 //! ```text
-//! seed:<n>,site:<name>,kind:<fault>[,after:<k>][,count:<n>|*][,cut:<bytes>][,path:<substr>]
+//! seed:<n>,site:<name>,kind:<fault>[,after:<k>][,count:<n>|*][,cut:<bytes>]
 //! ```
 //!
 //! - `site:` — a registered site name, or a `prefix.*` wildcard.
@@ -52,15 +46,11 @@
 //!   matching hit).
 //! - `cut:` — for `short-write`/`torn-append`: bytes actually persisted
 //!   before the failure (default: seed-derived per firing).
-//! - `path:` — only fire when the artifact path contains this substring
-//!   (lets a process-scoped plan target one server's state directory).
 
 use std::cell::RefCell;
 use std::fmt;
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use crate::rng::SimRng;
 
@@ -76,8 +66,6 @@ pub const SITES: &[&str] = &[
     "journal.append.write",
     "journal.append.fsync",
     "codec.checkpoint",
-    "serve.cache.read",
-    "serve.cache.write",
     "corpus.write",
 ];
 
@@ -226,8 +214,6 @@ pub struct FailPlan {
     /// Persisted-prefix length for truncating kinds; `None` derives it
     /// from the seed per firing.
     pub cut: Option<usize>,
-    /// Only fire when the artifact path contains this substring.
-    pub path: Option<String>,
 }
 
 impl FailPlan {
@@ -240,7 +226,6 @@ impl FailPlan {
             after: Some(0),
             count: 1,
             cut: None,
-            path: None,
         }
     }
 
@@ -256,7 +241,6 @@ impl FailPlan {
         let mut after: Option<u64> = None;
         let mut count = 1u64;
         let mut cut: Option<usize> = None;
-        let mut path: Option<String> = None;
         for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
             let clause = clause.trim();
             let (key, body) =
@@ -285,7 +269,6 @@ impl FailPlan {
                 "after" => after = Some(num(body)?),
                 "count" => count = if body == "*" { u64::MAX } else { num(body)? },
                 "cut" => cut = Some(num(body)? as usize),
-                "path" => path = Some(body.to_string()),
                 other => {
                     return Err(FailSpecError::UnknownKey {
                         clause: clause.to_string(),
@@ -301,7 +284,6 @@ impl FailPlan {
             after,
             count,
             cut,
-            path,
         })
     }
 
@@ -320,22 +302,14 @@ impl FailPlan {
         if let Some(cut) = self.cut {
             out.push_str(&format!(",cut:{cut}"));
         }
-        if let Some(path) = &self.path {
-            out.push_str(&format!(",path:{path}"));
-        }
         out
     }
 
-    fn matches(&self, site: &str, path: &Path) -> bool {
-        let site_ok = match self.site.strip_suffix('*') {
+    fn matches(&self, site: &str) -> bool {
+        match self.site.strip_suffix('*') {
             Some(prefix) => site.starts_with(prefix),
             None => self.site == site,
-        };
-        site_ok
-            && self
-                .path
-                .as_ref()
-                .is_none_or(|filter| path.to_string_lossy().contains(filter.as_str()))
+        }
     }
 }
 
@@ -411,20 +385,13 @@ impl ActiveState {
     }
 }
 
-/// Count of live scopes (thread + process). The single relaxed load of
-/// this counter is the only cost a disabled failpoint adds to any I/O
-/// path.
+/// Count of live thread scopes. The single relaxed load of this counter
+/// is the only cost a disabled failpoint adds to any I/O path.
 static ARMED_SCOPES: AtomicU32 = AtomicU32::new(0);
 
 thread_local! {
     static THREAD_PLAN: RefCell<Option<ActiveState>> = const { RefCell::new(None) };
 }
-
-static PROCESS_PLAN: Mutex<Option<ActiveState>> = Mutex::new(None);
-/// Serializes process-scoped arming: a second [`arm_process`] blocks
-/// until the first scope drops, so concurrent tests cannot interleave
-/// process-wide plans.
-static PROCESS_TOKEN: Mutex<()> = Mutex::new(());
 
 #[inline]
 fn disabled() -> bool {
@@ -450,26 +417,6 @@ pub fn arm_thread(plan: FailPlan) -> ThreadScope {
     });
     ARMED_SCOPES.fetch_add(1, Ordering::Relaxed);
     ThreadScope { _priv: () }
-}
-
-/// Arms `plan` for every thread in the process — what the `chaos` serve
-/// cells use, since journal and cache writes happen on the server's own
-/// threads. Blocks until any other process scope has dropped; pair with a
-/// `path:` filter to confine the blast radius to one state directory.
-pub fn arm_process(plan: FailPlan) -> ProcessScope {
-    debug_assert!(
-        plan.site.ends_with('*') || site_registered(&plan.site),
-        "failplan targets unregistered site '{}'",
-        plan.site
-    );
-    let token = PROCESS_TOKEN
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    *PROCESS_PLAN
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(ActiveState::new(plan));
-    ARMED_SCOPES.fetch_add(1, Ordering::Relaxed);
-    ProcessScope { _token: token }
 }
 
 /// A thread-scoped armed plan; disarms on drop.
@@ -501,42 +448,6 @@ impl Drop for ThreadScope {
     }
 }
 
-/// A process-scoped armed plan; disarms on drop and releases the
-/// process-scope serialization token.
-pub struct ProcessScope {
-    _token: MutexGuard<'static, ()>,
-}
-
-impl ProcessScope {
-    /// Every firing so far, in order.
-    pub fn firings(&self) -> Vec<Firing> {
-        PROCESS_PLAN
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .as_ref()
-            .map(|s| s.firings.clone())
-            .unwrap_or_default()
-    }
-
-    /// How many times the plan has fired.
-    pub fn fired(&self) -> u64 {
-        PROCESS_PLAN
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .as_ref()
-            .map_or(0, |s| s.fired)
-    }
-}
-
-impl Drop for ProcessScope {
-    fn drop(&mut self) {
-        *PROCESS_PLAN
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = None;
-        ARMED_SCOPES.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 fn injected_error(site: &str, kind: FaultKind) -> io::Error {
     let msg = format!("failpoint {site}: injected {kind}");
     match kind {
@@ -545,33 +456,16 @@ fn injected_error(site: &str, kind: FaultKind) -> io::Error {
     }
 }
 
-/// Consults the armed plan (thread scope first, then process scope) for
-/// one hit at `site`.
-fn consult(site: &str, path: &Path, len: Option<usize>) -> Option<(FaultKind, Option<usize>)> {
+/// Consults the calling thread's armed plan for one hit at `site`.
+fn consult(site: &str, len: Option<usize>) -> Option<(FaultKind, Option<usize>)> {
     debug_assert!(
         site_registered(site),
         "unregistered failpoint site '{site}'"
     );
-    let thread_hit = THREAD_PLAN.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        match slot.as_mut() {
-            Some(state) if state.plan.matches(site, path) => Some(state.strike(site, len)),
-            Some(_) => Some(None), // armed on this thread, different site
-            None => None,          // not armed on this thread at all
-        }
-    });
-    match thread_hit {
-        Some(outcome) => outcome,
-        None => {
-            let mut guard = PROCESS_PLAN
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            match guard.as_mut() {
-                Some(state) if state.plan.matches(site, path) => state.strike(site, len),
-                _ => None,
-            }
-        }
-    }
+    THREAD_PLAN.with(|slot| match slot.borrow_mut().as_mut() {
+        Some(state) if state.plan.matches(site) => state.strike(site, len),
+        _ => None,
+    })
 }
 
 /// Failpoint check for immediate-failure legs (create, fsync, rename,
@@ -579,11 +473,11 @@ fn consult(site: &str, path: &Path, len: Option<usize>) -> Option<(FaultKind, Op
 /// `site`; truncating kinds degrade to an immediate error here since
 /// there is no payload to cut.
 #[inline]
-pub fn on_io(site: &str, path: &Path) -> io::Result<()> {
+pub fn on_io(site: &str) -> io::Result<()> {
     if disabled() {
         return Ok(());
     }
-    match consult(site, path, None) {
+    match consult(site, None) {
         Some((kind, _)) => Err(injected_error(site, kind)),
         None => Ok(()),
     }
@@ -610,11 +504,11 @@ pub enum WriteFault {
 /// truncating kinds return [`WriteFault::Torn`] with a cut strictly
 /// inside the payload (explicit `cut:` clamped to it).
 #[inline]
-pub fn on_write(site: &str, path: &Path, len: usize) -> WriteFault {
+pub fn on_write(site: &str, len: usize) -> WriteFault {
     if disabled() {
         return WriteFault::Clear;
     }
-    match consult(site, path, Some(len)) {
+    match consult(site, Some(len)) {
         None => WriteFault::Clear,
         Some((kind, Some(cut))) => WriteFault::Torn {
             cut,
@@ -675,11 +569,8 @@ mod tests {
 
     #[test]
     fn disabled_checks_are_clear() {
-        assert!(on_io("fsio.create", Path::new("/tmp/x")).is_ok());
-        assert!(matches!(
-            on_write("fsio.write", Path::new("/tmp/x"), 64),
-            WriteFault::Clear
-        ));
+        assert!(on_io("fsio.create").is_ok());
+        assert!(matches!(on_write("fsio.write", 64), WriteFault::Clear));
     }
 
     #[test]
@@ -687,10 +578,9 @@ mod tests {
         let mut plan = FailPlan::once("fsio.write", FaultKind::Eio);
         plan.after = Some(2);
         let scope = arm_thread(plan);
-        let p = Path::new("/tmp/artifact");
-        assert!(matches!(on_write("fsio.write", p, 10), WriteFault::Clear));
-        assert!(matches!(on_write("fsio.write", p, 10), WriteFault::Clear));
-        match on_write("fsio.write", p, 10) {
+        assert!(matches!(on_write("fsio.write", 10), WriteFault::Clear));
+        assert!(matches!(on_write("fsio.write", 10), WriteFault::Clear));
+        match on_write("fsio.write", 10) {
             WriteFault::Fail(e) => {
                 let msg = e.to_string();
                 assert!(msg.contains("fsio.write"), "{msg}");
@@ -699,13 +589,13 @@ mod tests {
             other => panic!("expected Fail, got {other:?}"),
         }
         // count:1 — the plan is spent.
-        assert!(matches!(on_write("fsio.write", p, 10), WriteFault::Clear));
+        assert!(matches!(on_write("fsio.write", 10), WriteFault::Clear));
         let firings = scope.firings();
         assert_eq!(firings.len(), 1);
         assert_eq!(firings[0].hit, 2);
         assert_eq!(firings[0].kind, FaultKind::Eio);
         drop(scope);
-        assert!(matches!(on_write("fsio.write", p, 10), WriteFault::Clear));
+        assert!(matches!(on_write("fsio.write", 10), WriteFault::Clear));
     }
 
     #[test]
@@ -713,7 +603,7 @@ mod tests {
         let mut plan = FailPlan::once("journal.append.write", FaultKind::TornAppend);
         plan.cut = Some(1000);
         let scope = arm_thread(plan);
-        match on_write("journal.append.write", Path::new("j"), 16) {
+        match on_write("journal.append.write", 16) {
             WriteFault::Torn { cut, error } => {
                 assert_eq!(cut, 16, "explicit cut clamps to the payload");
                 assert!(error.to_string().contains("torn-append"));
@@ -727,14 +617,14 @@ mod tests {
         let mut plan = FailPlan::once("fsio.write", FaultKind::ShortWrite);
         plan.seed = 11;
         let scope = arm_thread(plan.clone());
-        let first = match on_write("fsio.write", Path::new("a"), 64) {
+        let first = match on_write("fsio.write", 64) {
             WriteFault::Torn { cut, .. } => cut,
             other => panic!("expected Torn, got {other:?}"),
         };
         assert!(first < 64);
         drop(scope);
         let scope = arm_thread(plan);
-        let second = match on_write("fsio.write", Path::new("a"), 64) {
+        let second = match on_write("fsio.write", 64) {
             WriteFault::Torn { cut, .. } => cut,
             other => panic!("expected Torn, got {other:?}"),
         };
@@ -743,15 +633,13 @@ mod tests {
     }
 
     #[test]
-    fn site_wildcards_and_path_filters_select_matches() {
+    fn site_wildcards_select_matches() {
         let mut plan = FailPlan::once("fsio.*", FaultKind::Eio);
         plan.count = u64::MAX;
-        plan.path = Some("state-a".to_string());
         let scope = arm_thread(plan);
-        assert!(on_io("fsio.create", Path::new("/tmp/state-b/f")).is_ok());
-        assert!(on_io("journal.begin", Path::new("/tmp/state-a/f")).is_ok());
-        assert!(on_io("fsio.rename", Path::new("/tmp/state-a/f")).is_err());
-        assert!(on_io("fsio.fsync", Path::new("/tmp/state-a/g")).is_err());
+        assert!(on_io("journal.begin").is_ok());
+        assert!(on_io("fsio.rename").is_err());
+        assert!(on_io("fsio.fsync").is_err());
         assert_eq!(scope.fired(), 2);
         drop(scope);
     }
@@ -759,7 +647,7 @@ mod tests {
     #[test]
     fn enospc_maps_to_storage_full() {
         let scope = arm_thread(FailPlan::once("fsio.create", FaultKind::Enospc));
-        let err = on_io("fsio.create", Path::new("x")).unwrap_err();
+        let err = on_io("fsio.create").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         drop(scope);
     }
@@ -769,34 +657,13 @@ mod tests {
         let mut plan = FailPlan::once("fsio.write", FaultKind::Eio);
         plan.count = u64::MAX;
         let scope = arm_thread(plan);
-        // Another thread sees no thread plan (and no process plan here).
-        let other = std::thread::spawn(|| {
-            matches!(on_write("fsio.write", Path::new("x"), 8), WriteFault::Clear)
-        })
-        .join()
-        .expect("thread");
+        // Another thread sees no plan.
+        let other = std::thread::spawn(|| matches!(on_write("fsio.write", 8), WriteFault::Clear))
+            .join()
+            .expect("thread");
         assert!(other, "sibling thread must not inherit a thread scope");
-        assert!(matches!(
-            on_write("fsio.write", Path::new("x"), 8),
-            WriteFault::Fail(_)
-        ));
+        assert!(matches!(on_write("fsio.write", 8), WriteFault::Fail(_)));
         drop(scope);
-    }
-
-    #[test]
-    fn process_scope_reaches_other_threads() {
-        let mut plan = FailPlan::once("serve.cache.write", FaultKind::Eio);
-        plan.count = u64::MAX;
-        let scope = arm_process(plan);
-        let hit = std::thread::spawn(|| {
-            on_io("serve.cache.write", Path::new("cache/entry.res")).is_err()
-        })
-        .join()
-        .expect("thread");
-        assert!(hit, "process scope must reach sibling threads");
-        assert!(scope.fired() >= 1);
-        drop(scope);
-        assert!(on_io("serve.cache.write", Path::new("cache/entry.res")).is_ok());
     }
 
     #[test]

@@ -49,6 +49,46 @@ pub fn staging_path(path: &Path) -> io::Result<PathBuf> {
     )))
 }
 
+/// A fresh directory `temp_dir()/oasis-<tag>-<pid>-<counter>`, removed
+/// with everything in it on drop. The pid and the process-wide counter
+/// give every instance its own directory, so concurrent tests and
+/// processes never share one; a stale directory left under the same name
+/// by an earlier process is cleared first.
+#[derive(Debug)]
+pub struct ScratchDir {
+    path: PathBuf,
+}
+
+impl ScratchDir {
+    /// Creates the directory.
+    pub fn new(tag: &str) -> io::Result<ScratchDir> {
+        let path = std::env::temp_dir().join(format!(
+            "oasis-{tag}-{}-{}",
+            std::process::id(),
+            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path)?;
+        Ok(ScratchDir { path })
+    }
+
+    /// The directory itself.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// `name` inside the directory.
+    pub fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.path.join(name)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
 /// Atomically replaces `path` with `bytes`: temp file in the same
 /// directory, fsync, rename, fsync the directory. On error the temp file
 /// is removed; the previous contents of `path` (if any) are untouched.
@@ -63,9 +103,9 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 fn write_and_rename(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
     {
-        failpoint::on_io("fsio.create", path)?;
+        failpoint::on_io("fsio.create")?;
         let mut f = File::create(tmp)?;
-        match failpoint::on_write("fsio.write", path, bytes.len()) {
+        match failpoint::on_write("fsio.write", bytes.len()) {
             failpoint::WriteFault::Clear => f.write_all(bytes)?,
             failpoint::WriteFault::Fail(e) => return Err(e),
             failpoint::WriteFault::Torn { cut, error } => {
@@ -77,10 +117,10 @@ fn write_and_rename(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
                 return Err(error);
             }
         }
-        failpoint::on_io("fsio.fsync", path)?;
+        failpoint::on_io("fsio.fsync")?;
         f.sync_all()?;
     }
-    failpoint::on_io("fsio.rename", path)?;
+    failpoint::on_io("fsio.rename")?;
     std::fs::rename(tmp, path)?;
     sync_parent_dir(path);
     Ok(())
@@ -110,26 +150,32 @@ fn sync_parent_dir(path: &Path) {
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "oasis-fsio-{tag}-{}-{}",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).expect("create test dir");
-        dir
+    fn scratch(tag: &str) -> ScratchDir {
+        ScratchDir::new(&format!("fsio-{tag}")).expect("create test dir")
+    }
+
+    #[test]
+    fn scratch_dirs_are_distinct_and_removed_on_drop() {
+        let a = scratch("scratch");
+        let b = scratch("scratch");
+        assert_ne!(a.path(), b.path());
+        std::fs::write(a.join("f"), b"x").expect("write inside");
+        let kept = a.path().to_path_buf();
+        drop(a);
+        assert!(!kept.exists(), "{} survived the drop", kept.display());
+        assert!(b.path().is_dir());
     }
 
     #[test]
     fn writes_new_file_and_replaces_existing() {
-        let dir = temp_dir("basic");
+        let dir = scratch("basic");
         let target = dir.join("artifact.json");
         atomic_write(&target, b"first").expect("first write");
         assert_eq!(std::fs::read(&target).unwrap(), b"first");
         atomic_write(&target, b"second, longer payload").expect("second write");
         assert_eq!(std::fs::read(&target).unwrap(), b"second, longer payload");
         // No staging debris left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let leftovers: Vec<_> = std::fs::read_dir(dir.path())
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
@@ -138,12 +184,11 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn failed_write_leaves_previous_contents_and_no_temp() {
-        let dir = temp_dir("fail");
+        let dir = scratch("fail");
         let target = dir.join("artifact.bin");
         atomic_write(&target, b"good").expect("seed write");
         // Point the write at a target whose parent does not exist: the
@@ -151,7 +196,6 @@ mod tests {
         let bad = dir.join("missing-subdir").join("artifact.bin");
         assert!(atomic_write(&bad, b"doomed").is_err());
         assert_eq!(std::fs::read(&target).unwrap(), b"good");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Every injectable leg — create, write (full and torn), fsync,
@@ -160,7 +204,7 @@ mod tests {
     #[test]
     fn injected_faults_leave_no_stray_temp_and_previous_contents() {
         use crate::failpoint::{arm_thread, FailPlan, FaultKind};
-        let dir = temp_dir("inject");
+        let dir = scratch("inject");
         let target = dir.join("artifact.bin");
         atomic_write(&target, b"good").expect("seed write");
         let cells = [
@@ -185,7 +229,7 @@ mod tests {
                 b"good",
                 "previous contents must survive cell {site}/{kind}"
             );
-            let strays: Vec<_> = std::fs::read_dir(&dir)
+            let strays: Vec<_> = std::fs::read_dir(dir.path())
                 .unwrap()
                 .filter_map(|e| e.ok())
                 .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
@@ -199,7 +243,6 @@ mod tests {
         // Disarmed, the same write goes through.
         atomic_write(&target, b"replacement payload").expect("clean write");
         assert_eq!(std::fs::read(&target).unwrap(), b"replacement payload");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //! FNV-1a is the integrity and identity hash everywhere bytes need a
 //! stable 64-bit fingerprint: checkpoint trailer checksums and per-epoch
 //! state digests ([`crate::codec`]), per-record sweep-journal checksums
-//! ([`crate::journal`]), sweep-identity tags (fuzz/inject/verify-replay),
-//! and the sweep server's content-addressed result-cache keys. Before this
-//! module the same two constants were hand-rolled at several call-sites;
-//! they now live here once, pinned by reference vectors, so digests,
-//! checkpoints, journals, and cache keys stay bit-identical across
-//! refactors. (This is distinct from [`crate::fxhash`], the *non-stable*
+//! ([`crate::journal`]), and sweep-identity tags
+//! (fuzz/inject/verify-replay). Before this module the same two constants
+//! were hand-rolled at several call-sites; they now live here once, pinned
+//! by reference vectors, so digests, checkpoints, and journals stay
+//! bit-identical across refactors. (This is distinct from [`crate::fxhash`], the *non-stable*
 //! rustc-fx hasher used only for in-memory index maps.)
 //!
 //! The constants are the published FNV-1a 64 parameters; changing either
-//! invalidates every checkpoint, journal, golden digest fixture, and cache
-//! entry ever written, so the tests below treat them as frozen.
+//! invalidates every checkpoint, journal, and golden digest fixture ever
+//! written, so the tests below treat them as frozen.
 
 /// FNV-1a 64-bit offset basis (the published constant).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

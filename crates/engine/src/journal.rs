@@ -40,16 +40,15 @@
 //!   the injector the outcome line, ...).
 //! * `Interrupted` — clean-drain trailer written when a sweep stops on
 //!   SIGINT/SIGTERM; marks the journal as deliberately incomplete.
-//! * `Enqueued` — a job was *admitted* with an opaque payload describing
-//!   the work itself (the sweep server stores the scenario wire line).
-//!   Written before the job is queued, so a killed server can rebuild its
-//!   pending queue on restart: pending = enqueued − adjudicated.
+//!
+//! Any other kind byte is unknown: recovery keeps the prefix before it and
+//! reports the rest as a salvaged tail.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::codec::{fnv1a, ByteReader, ByteWriter};
 use crate::failpoint;
@@ -67,7 +66,6 @@ const KIND_BEGIN: u8 = 0;
 const KIND_DISPATCHED: u8 = 1;
 const KIND_ADJUDICATED: u8 = 2;
 const KIND_INTERRUPTED: u8 = 3;
-const KIND_ENQUEUED: u8 = 4;
 
 /// kind (1) + payload_len (4).
 const RECORD_HEADER_LEN: usize = 5;
@@ -227,17 +225,6 @@ pub enum JournalRecord {
         /// Jobs adjudicated before the drain.
         adjudicated: u64,
     },
-    /// A job was admitted into a durable queue (written ahead of the
-    /// work). Older readers stop their salvage scan at the first record
-    /// of this kind — acceptable, since only queue-persisting sweeps
-    /// (the serve subsystem) write it.
-    Enqueued {
-        /// Sweep-level job id (the caller's stable index).
-        job_id: u64,
-        /// Opaque caller payload describing the job (the serve subsystem
-        /// stores the canonical scenario wire line).
-        payload: Vec<u8>,
-    },
 }
 
 /// A job's journaled final state, keyed off the `Adjudicated` record.
@@ -290,13 +277,6 @@ pub struct Recovery {
     /// Job ids that appeared in more than one `Adjudicated` record
     /// (first kept, rest ignored with this warning).
     pub duplicate_adjudications: Vec<u64>,
-    /// Admitted-job payload per job id from `Enqueued` records; the
-    /// *first* record per id wins, mirroring the adjudication rule.
-    /// Empty for sweeps that never persist their queue.
-    pub enqueued: BTreeMap<u64, Vec<u8>>,
-    /// Job ids that appeared in more than one `Enqueued` record (first
-    /// kept, rest ignored with this warning).
-    pub duplicate_enqueues: Vec<u64>,
     /// Whether the last valid record is a clean `Interrupted` trailer.
     pub interrupted: bool,
     /// Present when a corrupt/truncated tail was dropped.
@@ -319,31 +299,7 @@ impl Recovery {
                 self.duplicate_adjudications
             ));
         }
-        if !self.duplicate_enqueues.is_empty() {
-            out.push(format!(
-                "journal holds duplicate Enqueued records for job(s) {:?}; first kept",
-                self.duplicate_enqueues
-            ));
-        }
         out
-    }
-
-    /// The durable queue a restarted server must finish: every `Enqueued`
-    /// job without an `Adjudicated` verdict, in job-id order.
-    pub fn pending(&self) -> BTreeMap<u64, &[u8]> {
-        self.enqueued
-            .iter()
-            .filter(|(id, _)| !self.adjudicated.contains_key(id))
-            .map(|(&id, payload)| (id, payload.as_slice()))
-            .collect()
-    }
-
-    /// Retried attempts recorded across adjudicated jobs (Σ attempts − 1).
-    pub fn recorded_retries(&self) -> u64 {
-        self.adjudicated
-            .values()
-            .map(|a| u64::from(a.attempts.saturating_sub(1)))
-            .sum()
     }
 }
 
@@ -387,20 +343,9 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<JournalRecord> {
         KIND_INTERRUPTED => JournalRecord::Interrupted {
             adjudicated: r.u64().ok()?,
         },
-        KIND_ENQUEUED => {
-            let job_id = r.u64().ok()?;
-            let mut payload_rest = Vec::with_capacity(r.remaining());
-            while !r.is_empty() {
-                payload_rest.push(r.u8().ok()?);
-            }
-            JournalRecord::Enqueued {
-                job_id,
-                payload: payload_rest,
-            }
-        }
         _ => return None,
     };
-    if kind != KIND_ADJUDICATED && kind != KIND_ENQUEUED && !r.is_empty() {
+    if kind != KIND_ADJUDICATED && !r.is_empty() {
         return None; // trailing garbage inside a checksummed record
     }
     Some(rec)
@@ -495,41 +440,28 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
 
     let mut adjudicated: BTreeMap<u64, Adjudication> = BTreeMap::new();
     let mut duplicates: Vec<u64> = Vec::new();
-    let mut enqueued: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut duplicate_enqueues: Vec<u64> = Vec::new();
     for rec in &events {
-        match rec {
-            JournalRecord::Adjudicated {
-                job_id,
-                outcome,
-                attempts,
-                payload,
-            } => {
-                if adjudicated.contains_key(job_id) {
-                    if !duplicates.contains(job_id) {
-                        duplicates.push(*job_id);
-                    }
-                } else {
-                    adjudicated.insert(
-                        *job_id,
-                        Adjudication {
-                            outcome: *outcome,
-                            attempts: *attempts,
-                            payload: payload.clone(),
-                        },
-                    );
+        if let JournalRecord::Adjudicated {
+            job_id,
+            outcome,
+            attempts,
+            payload,
+        } = rec
+        {
+            if adjudicated.contains_key(job_id) {
+                if !duplicates.contains(job_id) {
+                    duplicates.push(*job_id);
                 }
+            } else {
+                adjudicated.insert(
+                    *job_id,
+                    Adjudication {
+                        outcome: *outcome,
+                        attempts: *attempts,
+                        payload: payload.clone(),
+                    },
+                );
             }
-            JournalRecord::Enqueued { job_id, payload } => {
-                if enqueued.contains_key(job_id) {
-                    if !duplicate_enqueues.contains(job_id) {
-                        duplicate_enqueues.push(*job_id);
-                    }
-                } else {
-                    enqueued.insert(*job_id, payload.clone());
-                }
-            }
-            _ => {}
         }
     }
 
@@ -546,8 +478,6 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
         events,
         adjudicated,
         duplicate_adjudications: duplicates,
-        enqueued,
-        duplicate_enqueues,
         interrupted,
         salvage,
         valid_bytes: pos as u64,
@@ -562,7 +492,6 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
-    path: PathBuf,
 }
 
 impl JournalWriter {
@@ -578,14 +507,11 @@ impl JournalWriter {
         payload.u64(tag);
         payload.str(label);
         buf.extend_from_slice(&encode_record(KIND_BEGIN, payload.as_slice()));
-        failpoint::on_io("journal.begin", path)?;
+        failpoint::on_io("journal.begin")?;
         atomic_write(path, &buf)?;
         let file = OpenOptions::new().append(true).open(path)?;
         file.sync_data()?;
-        Ok(JournalWriter {
-            file,
-            path: path.to_path_buf(),
-        })
+        Ok(JournalWriter { file })
     }
 
     /// Reopens the journal at `path` for a resumed sweep: recovers it,
@@ -607,23 +533,12 @@ impl JournalWriter {
         file.set_len(recovery.valid_bytes)?;
         file.sync_data()?;
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok((
-            JournalWriter {
-                file,
-                path: path.to_path_buf(),
-            },
-            recovery,
-        ))
-    }
-
-    /// The journal's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok((JournalWriter { file }, recovery))
     }
 
     fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), JournalError> {
         let rec = encode_record(kind, payload);
-        match failpoint::on_write("journal.append.write", &self.path, rec.len()) {
+        match failpoint::on_write("journal.append.write", rec.len()) {
             failpoint::WriteFault::Clear => {}
             failpoint::WriteFault::Fail(e) => return Err(e.into()),
             failpoint::WriteFault::Torn { cut, error } => {
@@ -635,7 +550,7 @@ impl JournalWriter {
             }
         }
         self.file.write_all(&rec)?;
-        failpoint::on_io("journal.append.fsync", &self.path)?;
+        failpoint::on_io("journal.append.fsync")?;
         self.file.sync_data()?;
         Ok(())
     }
@@ -670,16 +585,6 @@ impl JournalWriter {
         w.u64(adjudicated);
         self.append(KIND_INTERRUPTED, w.as_slice())
     }
-
-    /// Journals a job admission with an opaque payload describing the
-    /// work, *before* the job enters the in-memory queue — the durable
-    /// half of the serve subsystem's admission control.
-    pub fn enqueued(&mut self, job_id: u64, payload: &[u8]) -> Result<(), JournalError> {
-        let mut w = ByteWriter::new();
-        w.u64(job_id);
-        w.bytes(payload);
-        self.append(KIND_ENQUEUED, w.as_slice())
-    }
 }
 
 #[cfg(test)]
@@ -711,74 +616,6 @@ mod tests {
             expected: JOURNAL_VERSION,
         };
         assert!(e.to_string().contains("version 9"));
-    }
-
-    fn temp_journal(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("oasis-journal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir.join(name)
-    }
-
-    #[test]
-    fn enqueued_records_round_trip_and_pending_subtracts_adjudicated() {
-        let path = temp_journal("enqueued-roundtrip.jnl");
-        let mut w = JournalWriter::create(&path, 7, "serve test").expect("create");
-        w.enqueued(0, b"job zero").expect("enq 0");
-        w.enqueued(1, b"job one").expect("enq 1");
-        w.enqueued(2, b"").expect("enq 2 (empty payload)");
-        w.dispatched(0, 1).expect("disp");
-        w.adjudicated(0, AdjudicatedOutcome::Completed, 1, b"clean")
-            .expect("adj 0");
-        drop(w);
-
-        let rec = recover(&path).expect("recover");
-        assert!(rec.salvage.is_none(), "{:?}", rec.salvage);
-        assert_eq!(rec.enqueued.len(), 3);
-        assert_eq!(rec.enqueued[&0], b"job zero");
-        assert_eq!(rec.enqueued[&2], b"");
-        let pending = rec.pending();
-        assert_eq!(
-            pending.keys().copied().collect::<Vec<_>>(),
-            vec![1, 2],
-            "adjudicated job 0 must not be pending"
-        );
-        assert_eq!(pending[&1], b"job one");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn duplicate_enqueues_keep_the_first_and_warn() {
-        let path = temp_journal("enqueued-dup.jnl");
-        let mut w = JournalWriter::create(&path, 7, "serve test").expect("create");
-        w.enqueued(5, b"original").expect("enq");
-        w.enqueued(5, b"replayed").expect("enq dup");
-        drop(w);
-        let rec = recover(&path).expect("recover");
-        assert_eq!(rec.enqueued[&5], b"original", "first enqueue wins");
-        assert_eq!(rec.duplicate_enqueues, vec![5]);
-        assert!(rec
-            .warnings()
-            .iter()
-            .any(|w| w.contains("duplicate Enqueued")));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_enqueued_tail_is_salvaged_not_fatal() {
-        let path = temp_journal("enqueued-torn.jnl");
-        let mut w = JournalWriter::create(&path, 7, "serve test").expect("create");
-        w.enqueued(0, b"whole").expect("enq");
-        w.enqueued(1, b"about to tear").expect("enq");
-        drop(w);
-        // Tear the last record mid-payload, as a SIGKILL mid-append would.
-        let bytes = std::fs::read(&path).expect("read");
-        std::fs::write(&path, &bytes[..bytes.len() - 6]).expect("tear");
-        let rec = recover(&path).expect("salvage");
-        let salvage = rec.salvage.clone().expect("tail salvage reported");
-        assert!(salvage.reason.contains("truncated"), "{}", salvage.reason);
-        assert_eq!(rec.enqueued.len(), 1, "only the whole record survives");
-        assert_eq!(rec.pending().keys().copied().collect::<Vec<_>>(), vec![0]);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

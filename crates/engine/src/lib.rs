@@ -46,7 +46,7 @@ pub use error::{
     SimResult, TableError, TraceError,
 };
 pub use failpoint::{FailPlan, FailSpecError, FaultKind as IoFaultKind, Firing};
-pub use fsio::atomic_write;
+pub use fsio::{atomic_write, ScratchDir};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hash::{fnv1a, Fnv1a};
 pub use journal::{

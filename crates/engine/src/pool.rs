@@ -37,10 +37,9 @@
 //! its registry down with it — by design: nothing blocks on a wedge.)
 //!
 //! **Cooperative stop.** A sweep launched through [`run_sweep_controlled`]
-//! can carry a [`StopHandle`]: once stopped (a signal handler, a server's
-//! shutdown path), the supervisor drains the queue without dispatching
-//! further attempts, lets in-flight attempts finish or hit their deadline,
-//! and returns an *interrupted* [`SweepReport`] — adjudicated jobs in
+//! can carry a [`StopHandle`]: once stopped (by a signal handler), the
+//! supervisor drains the queue without dispatching further attempts, lets
+//! in-flight attempts finish or hit their deadline, and returns an *interrupted* [`SweepReport`] — adjudicated jobs in
 //! [`SweepReport::jobs`], never-run ones named in [`SweepReport::halted`].
 //! [`SweepControl`] also carries dispatch/adjudication observers, which is
 //! how the write-ahead sweep journal ([`crate::journal`]) sees one
@@ -86,16 +85,6 @@ impl Default for PoolConfig {
             backoff_base_ms: 10,
             sleep_on_backoff: false,
             watchdog_poll: Duration::from_millis(10),
-        }
-    }
-}
-
-impl PoolConfig {
-    /// A config with `workers` threads and everything else default.
-    pub fn with_workers(workers: usize) -> Self {
-        PoolConfig {
-            workers,
-            ..PoolConfig::default()
         }
     }
 }
@@ -932,6 +921,13 @@ pub fn run_sweep_controlled<T: Send + 'static>(
 mod tests {
     use super::*;
 
+    fn workers(workers: usize) -> PoolConfig {
+        PoolConfig {
+            workers,
+            ..PoolConfig::default()
+        }
+    }
+
     #[test]
     fn defaults_are_the_serial_shape() {
         let c = PoolConfig::default();
@@ -958,7 +954,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_completes_immediately() {
-        let report = run_sweep::<u64>(&PoolConfig::with_workers(4), Vec::new());
+        let report = run_sweep::<u64>(&workers(4), Vec::new());
         assert!(report.jobs.is_empty());
         assert!(report.all_completed());
         assert_eq!(report.metrics.counter("pool.jobs"), 0);
@@ -976,7 +972,7 @@ mod tests {
                 })
             })
             .collect();
-        let report = run_sweep(&PoolConfig::with_workers(4), jobs);
+        let report = run_sweep(&workers(4), jobs);
         assert!(report.all_completed());
         let ids: Vec<u64> = report.jobs.iter().map(|j| j.id).collect();
         assert_eq!(ids, (0..8).collect::<Vec<_>>());
@@ -989,7 +985,7 @@ mod tests {
     #[test]
     fn workers_are_clamped_to_the_job_count() {
         let jobs = vec![Job::new("only", |_ctx| Ok(1u64))];
-        let report = run_sweep(&PoolConfig::with_workers(64), jobs);
+        let report = run_sweep(&workers(64), jobs);
         assert_eq!(report.workers, 1);
         assert!(report.all_completed());
     }

@@ -8,11 +8,8 @@
 //! adjudications, dispatching only pending ids, stopping the sweep when
 //! a journal append fails, the `Interrupted` trailer, and the per-id
 //! [`Record`]s. It runs wave by wave on one open journal, so a caller can
-//! honor a wall-clock budget at wave boundaries.
-//!
-//! The sweep server keeps its own journal code: its append failures are
-//! sticky per-job rejections rather than a stopped sweep, its records are
-//! keyed by `Enqueued` admissions, and its observers fan out to clients.
+//! honor a wall-clock budget at wave boundaries. It is the only journal
+//! client in the workspace.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

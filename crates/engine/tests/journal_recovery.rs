@@ -6,13 +6,14 @@
 use std::path::PathBuf;
 
 use oasis_engine::journal::{recover, JournalError, JournalRecord, JournalWriter, TailSalvage};
-use oasis_engine::AdjudicatedOutcome;
+use oasis_engine::{fnv1a, AdjudicatedOutcome, ScratchDir};
 
-/// Fresh per-test path under the OS temp dir.
-fn temp_journal(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oasis-journal-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(name)
+/// A journal path in a fresh scratch directory that lives as long as the
+/// returned guard.
+fn temp_journal(name: &str) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new("journal-test").expect("scratch dir");
+    let path = dir.join(name);
+    (dir, path)
 }
 
 /// Writes a healthy journal: Begin + 3 dispatch/adjudicate pairs.
@@ -28,7 +29,7 @@ fn write_reference(path: &std::path::Path, tag: u64) -> Vec<u8> {
 
 #[test]
 fn a_pristine_journal_recovers_everything_with_no_warnings() {
-    let path = temp_journal("pristine.jnl");
+    let (_dir, path) = temp_journal("pristine.jnl");
     write_reference(&path, 0xABCD);
     let rec = recover(&path).expect("recover");
     assert_eq!(rec.tag, 0xABCD);
@@ -43,7 +44,7 @@ fn a_pristine_journal_recovers_everything_with_no_warnings() {
 
 #[test]
 fn every_truncation_point_salvages_a_valid_prefix() {
-    let path = temp_journal("truncated.jnl");
+    let (_dir, path) = temp_journal("truncated.jnl");
     let full = write_reference(&path, 7);
     let full_rec = recover(&path).expect("full recover");
     // Chop the file at *every* byte offset past the header: recovery must
@@ -95,7 +96,7 @@ fn every_truncation_point_salvages_a_valid_prefix() {
 
 #[test]
 fn a_flipped_byte_drops_the_tail_from_that_record_on() {
-    let path = temp_journal("flipped.jnl");
+    let (_dir, path) = temp_journal("flipped.jnl");
     let full = write_reference(&path, 7);
     // Flip one byte in the middle of the record stream (inside record 2's
     // area) — the checksum must reject that record and everything after.
@@ -128,7 +129,7 @@ fn a_flipped_byte_drops_the_tail_from_that_record_on() {
 
 #[test]
 fn duplicate_adjudications_keep_the_first_and_warn() {
-    let path = temp_journal("duplicate.jnl");
+    let (_dir, path) = temp_journal("duplicate.jnl");
     let mut w = JournalWriter::create(&path, 1, "dup").expect("create");
     w.dispatched(5, 1).expect("dispatch");
     w.adjudicated(5, AdjudicatedOutcome::Completed, 1, b"first")
@@ -145,21 +146,20 @@ fn duplicate_adjudications_keep_the_first_and_warn() {
 
 #[test]
 fn empty_and_alien_files_are_typed_errors() {
-    let path = temp_journal("empty.jnl");
+    let (_dir, path) = temp_journal("empty.jnl");
     std::fs::write(&path, b"").expect("write empty");
     assert!(matches!(recover(&path), Err(JournalError::Empty)));
 
     std::fs::write(&path, b"definitely not a journal file").expect("write alien");
     assert!(matches!(recover(&path), Err(JournalError::BadMagic)));
 
-    let missing = temp_journal("never-created.jnl");
-    std::fs::remove_file(&missing).ok();
+    let missing = path.with_file_name("never-created.jnl");
     assert!(matches!(recover(&missing), Err(JournalError::Io(_))));
 }
 
 #[test]
 fn a_header_without_begin_is_missing_begin() {
-    let path = temp_journal("headeronly.jnl");
+    let (_dir, path) = temp_journal("headeronly.jnl");
     let full = write_reference(&path, 7);
     std::fs::write(&path, &full[..12]).expect("write bare header");
     assert!(matches!(recover(&path), Err(JournalError::MissingBegin)));
@@ -167,7 +167,7 @@ fn a_header_without_begin_is_missing_begin() {
 
 #[test]
 fn resume_rejects_a_different_sweep_tag() {
-    let path = temp_journal("tagmismatch.jnl");
+    let (_dir, path) = temp_journal("tagmismatch.jnl");
     write_reference(&path, 0xAAAA);
     match JournalWriter::resume(&path, 0xBBBB) {
         Err(JournalError::TagMismatch { expected, found }) => {
@@ -180,7 +180,7 @@ fn resume_rejects_a_different_sweep_tag() {
 
 #[test]
 fn resume_truncates_the_salvaged_tail_and_appends_cleanly() {
-    let path = temp_journal("salvage-append.jnl");
+    let (_dir, path) = temp_journal("salvage-append.jnl");
     let full = write_reference(&path, 7);
     // Kill mid-append: half of the final record made it to disk.
     std::fs::write(&path, &full[..full.len() - 7]).expect("write torn");
@@ -205,7 +205,7 @@ fn resume_truncates_the_salvaged_tail_and_appends_cleanly() {
 
 #[test]
 fn interrupted_is_only_clean_as_the_final_record() {
-    let path = temp_journal("trailer.jnl");
+    let (_dir, path) = temp_journal("trailer.jnl");
     let mut w = JournalWriter::create(&path, 9, "drain").expect("create");
     w.dispatched(0, 1).expect("dispatch");
     w.adjudicated(0, AdjudicatedOutcome::Completed, 1, b"ok")
@@ -218,4 +218,56 @@ fn interrupted_is_only_clean_as_the_final_record() {
     let rec = recover(&path).expect("recover");
     assert!(!rec.interrupted, "trailer mid-stream is not a clean drain");
     assert_eq!(rec.events.len(), 5, "Begin + pair + trailer + redispatch");
+}
+
+/// One checksummed record in the journal wire format
+/// (`kind | len u32 | payload | fnv1a u64`).
+fn raw_record(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut rec = vec![kind];
+    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    rec.extend_from_slice(payload);
+    let sum = fnv1a(&rec);
+    rec.extend_from_slice(&sum.to_le_bytes());
+    rec
+}
+
+/// A journal left behind by the retired sweep server holds kind-4
+/// (`Enqueued`: job id + scenario line) records. This build no longer
+/// knows that kind: recovery must keep the prefix before the first one,
+/// report the rest as a salvaged tail naming the kind, and count nothing
+/// after it, not even a well-formed adjudication.
+#[test]
+fn an_unknown_record_kind_ends_the_valid_prefix() {
+    let (_dir, path) = temp_journal("kind4.jnl");
+    let mut bytes = write_reference(&path, 7);
+    let valid_len = bytes.len() as u64;
+    let mut enqueued = 3u64.to_le_bytes().to_vec();
+    enqueued.extend_from_slice(b"{\"app\":\"MT\"}");
+    let tail = [
+        raw_record(4, &enqueued),
+        raw_record(2, &[3, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]),
+    ]
+    .concat();
+    bytes.extend_from_slice(&tail);
+    std::fs::write(&path, &bytes).expect("write journal with a kind-4 record");
+
+    let rec = recover(&path).expect("recover");
+    assert_eq!(rec.events.len(), 7, "Begin + 3×(Dispatched, Adjudicated)");
+    assert_eq!(
+        rec.adjudicated.len(),
+        3,
+        "the record after kind 4 is not counted"
+    );
+    assert!(!rec.adjudicated.contains_key(&3));
+    assert_eq!(rec.valid_bytes, valid_len);
+    let s = rec.salvage.as_ref().expect("the unknown kind must warn");
+    assert!(s.reason.contains("kind 4"), "{}", s.reason);
+    assert_eq!(s.dropped_bytes, tail.len() as u64);
+    assert!(rec.warnings().iter().any(|w| w.contains("kind 4")));
+
+    // Resuming cuts the unknown tail off and appends on a clean boundary.
+    let (w, _) = JournalWriter::resume(&path, 7).expect("resume");
+    drop(w);
+    assert_eq!(std::fs::metadata(&path).expect("metadata").len(), valid_len);
+    assert!(recover(&path).expect("recover").salvage.is_none());
 }

@@ -10,27 +10,17 @@
 //! survive byte-for-byte, the torn tail is dropped and reported, and a
 //! resumed writer continues from a clean boundary.
 
-use std::path::PathBuf;
-
 use oasis_engine::failpoint::{arm_thread, FailPlan, FaultKind};
 use oasis_engine::journal::{recover, JournalRecord, JournalWriter};
+use oasis_engine::ScratchDir;
 
 const TAG: u64 = 0x5045_5250; // arbitrary sweep tag
 const RECORDS: u64 = 3;
 
-fn temp_journal(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "oasis-journal-short-append-{}-{tag}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create test dir");
-    dir.join("sweep.jnl")
-}
-
 /// One `Dispatched` record's encoded length, measured from a scratch
 /// journal so the test never hardcodes the wire format.
-fn dispatched_record_len() -> u64 {
-    let path = temp_journal("measure");
+fn dispatched_record_len(dir: &ScratchDir) -> u64 {
+    let path = dir.join("measure.jnl");
     let mut w = JournalWriter::create(&path, TAG, "measure").expect("create");
     let before = std::fs::metadata(&path).expect("metadata").len();
     w.dispatched(0, 1).expect("append");
@@ -40,13 +30,13 @@ fn dispatched_record_len() -> u64 {
 
 #[test]
 fn recovery_salvages_the_longest_clean_prefix_at_every_cut_offset() {
-    let rec_len = dispatched_record_len();
+    let dir = ScratchDir::new("journal-short-append").expect("scratch dir");
+    let rec_len = dispatched_record_len(&dir);
     assert!(rec_len > 0);
 
     for k in 0..RECORDS {
         for cut in 0..=rec_len {
-            let path = temp_journal(&format!("k{k}-c{cut}"));
-            let _ = std::fs::remove_file(&path);
+            let path = dir.join(format!("k{k}-c{cut}.jnl"));
             let mut writer = JournalWriter::create(&path, TAG, "short-append").expect("create");
 
             let spec = format!("site:journal.append.write,kind:torn-append,after:{k},cut:{cut}");

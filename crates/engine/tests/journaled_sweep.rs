@@ -14,6 +14,7 @@ use oasis_engine::sweep::{
     JournaledSweep, Outcome, PayloadCodec, Record, SweepError, SweepOptions, SweepResult,
     PAYLOAD_CLIP_CHARS,
 };
+use oasis_engine::ScratchDir;
 
 const TAG: u64 = 0x5EED;
 const IDS: u64 = 5;
@@ -33,19 +34,12 @@ impl PayloadCodec for Tenfold {
     }
 }
 
-/// A journal path in a directory owned by one test alone.
-fn temp_journal(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "oasis-journaled-sweep-{}-{test}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join("sweep.jnl")
-}
-
-fn cleanup(journal: &Path) {
-    std::fs::remove_dir_all(journal.parent().expect("journal has a dir")).ok();
+/// A journal path in a scratch directory owned by one test alone; the
+/// directory lives as long as the returned guard.
+fn temp_journal(test: &str) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new(&format!("journaled-sweep-{test}")).expect("scratch dir");
+    let path = dir.join("sweep.jnl");
+    (dir, path)
 }
 
 fn opts(journal: &Path, resume_sweep: bool) -> SweepOptions {
@@ -87,7 +81,7 @@ fn dispatched_ids(events: &[JournalRecord]) -> Vec<u64> {
 
 #[test]
 fn resume_merges_adjudicated_ids_and_dispatches_only_the_rest() {
-    let path = temp_journal("resume");
+    let (_dir, path) = temp_journal("resume");
     // A drained earlier run: ids 0 and 2 completed, id 3 lost after two
     // attempts. Non-contiguous on purpose, so the pool-id remap matters.
     let mut w = JournalWriter::create(&path, TAG, "test sweep").expect("create");
@@ -153,12 +147,11 @@ fn resume_merges_adjudicated_ids_and_dispatches_only_the_rest() {
         }
     }
     assert_eq!(adjudicated.len(), IDS as usize);
-    cleanup(&path);
 }
 
 #[test]
 fn lost_jobs_resume_exactly_as_they_were_recorded() {
-    let path = temp_journal("lost");
+    let (_dir, path) = temp_journal("lost");
     // Job 1 fails with an over-long message, job 3 panics; one attempt
     // each, so the first is Failed and the second Quarantined.
     let job = |id: u64| match id {
@@ -217,12 +210,11 @@ fn lost_jobs_resume_exactly_as_they_were_recorded() {
     assert_eq!(resumed.resumed, IDS);
     assert_eq!(resumed.records, live.records);
     assert_eq!(resumed.retries, live.retries);
-    cleanup(&path);
 }
 
 #[test]
 fn an_adjudication_outside_the_sweep_is_a_warning_not_an_error() {
-    let path = temp_journal("out-of-range");
+    let (_dir, path) = temp_journal("out-of-range");
     let mut w = JournalWriter::create(&path, TAG, "test sweep").expect("create");
     w.adjudicated(99, AdjudicatedOutcome::Completed, 1, &990u64.to_le_bytes())
         .expect("adjudicated");
@@ -237,12 +229,11 @@ fn an_adjudication_outside_the_sweep_is_a_warning_not_an_error() {
         "{:?}",
         done.warnings
     );
-    cleanup(&path);
 }
 
 #[test]
 fn an_undecodable_payload_is_a_typed_error_naming_the_id() {
-    let path = temp_journal("undecodable");
+    let (_dir, path) = temp_journal("undecodable");
     let mut w = JournalWriter::create(&path, TAG, "test sweep").expect("create");
     w.adjudicated(2, AdjudicatedOutcome::Completed, 1, &[1, 2, 3])
         .expect("adjudicated");
@@ -257,12 +248,11 @@ fn an_undecodable_payload_is_a_typed_error_naming_the_id() {
         other => panic!("wrong error: {other:?}"),
     }
     assert!(err.to_string().contains("journaled job 2"), "{err}");
-    cleanup(&path);
 }
 
 #[test]
 fn an_append_failure_stops_the_sweep_with_a_typed_error() {
-    let path = temp_journal("append-failure");
+    let (_dir, path) = temp_journal("append-failure");
     let mut plan = FailPlan::once("journal.append.write", FaultKind::Eio);
     // The first Dispatched record lands; the second append fails.
     plan.after = Some(1);
@@ -282,12 +272,11 @@ fn an_append_failure_stops_the_sweep_with_a_typed_error() {
     let after = recover(&path).expect("recover");
     assert!(after.adjudicated.is_empty(), "a job ran after the failure");
     assert!(after.interrupted);
-    cleanup(&path);
 }
 
 #[test]
 fn a_stop_between_waves_writes_the_interrupted_trailer() {
-    let path = temp_journal("stop");
+    let (_dir, path) = temp_journal("stop");
     let stop = StopHandle::new();
     let mut o = opts(&path, false);
     o.stop = Some(stop.clone());
@@ -312,5 +301,4 @@ fn a_stop_between_waves_writes_the_interrupted_trailer() {
     assert_eq!(done.resumed, 2);
     assert_eq!(done.records.len(), IDS as usize);
     assert!(!done.interrupted);
-    cleanup(&path);
 }

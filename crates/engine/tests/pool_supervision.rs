@@ -66,7 +66,13 @@ fn a_panicking_job_is_contained_and_typed() {
         job("panicker", JobKind::PanicAfter { ms: 1 }),
         job("healthy-2", JobKind::Ok { value: 30 }),
     ];
-    let report = run_sweep(&PoolConfig::with_workers(2), jobs);
+    let report = run_sweep(
+        &PoolConfig {
+            workers: 2,
+            ..PoolConfig::default()
+        },
+        jobs,
+    );
     assert_eq!(report.jobs.len(), 3);
     assert_eq!(report.completed(), 2);
     assert_eq!(report.quarantined, vec![1]);
@@ -296,7 +302,10 @@ fn a_pre_raised_stop_halts_every_job_without_dispatching() {
     let mut dispatched = Vec::new();
     let mut on_dispatch = |id: u64, attempt: u32| dispatched.push((id, attempt));
     let report = run_sweep_controlled(
-        &PoolConfig::with_workers(2),
+        &PoolConfig {
+            workers: 2,
+            ..PoolConfig::default()
+        },
         vec![
             job("never-0", JobKind::Ok { value: 1 }),
             job("never-1", JobKind::Ok { value: 2 }),
@@ -340,7 +349,7 @@ fn a_mid_sweep_stop_drains_the_queue_and_keeps_finished_work() {
     let mut on_adjudicated =
         |rec: &oasis_engine::pool::JobRecord<u64>| adjudicated.push((rec.id, rec.attempts));
     let report = run_sweep_controlled(
-        &PoolConfig::with_workers(1),
+        &PoolConfig::default(),
         jobs,
         SweepControl {
             stop: Some(stop.clone()),

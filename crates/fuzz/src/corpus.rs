@@ -38,9 +38,9 @@ use crate::scenario::Scenario;
 /// Schema tag stamped into (and required from) every corpus file.
 pub const SCHEMA: &str = "oasis-fuzz-scenario-v1";
 
-/// The corpus field list, shared by both layouts so the pretty file and
-/// the wire line can never disagree on a field.
-fn fields(scenario: &Scenario, oracle: Option<OracleKind>) -> ObjectWriter {
+/// Serializes a scenario (plus the oracle kind it violated, if any) into
+/// the corpus JSON format.
+pub fn to_json(scenario: &Scenario, oracle: Option<OracleKind>) -> String {
     let capacity = scenario
         .capacity_pages
         .map_or("null".into(), |c| c.to_string());
@@ -59,31 +59,8 @@ fn fields(scenario: &Scenario, oracle: Option<OracleKind>) -> ObjectWriter {
         .raw("counter_threshold", scenario.counter_threshold)
         .raw("capacity_pages", capacity)
         .str("fault_plan", &scenario.fault_plan.to_spec())
-}
-
-/// Serializes a scenario (plus the oracle kind it violated, if any) into
-/// the corpus JSON format.
-pub fn to_json(scenario: &Scenario, oracle: Option<OracleKind>) -> String {
-    fields(scenario, oracle).pretty() + "\n"
-}
-
-/// Serializes a scenario into its *canonical wire line*: the same flat
-/// object as [`to_json`] collapsed onto a single line, oracle always
-/// `"none"`, no trailing newline. This is the newline-JSON job payload of
-/// the sweep-server protocol and the preimage of [`scenario_digest`] —
-/// the byte sequence is a compatibility contract, so any change here
-/// invalidates every content-addressed result cache in the wild.
-pub fn to_json_line(scenario: &Scenario) -> String {
-    fields(scenario, None).line()
-}
-
-/// The scenario's content address: FNV-1a 64 over the canonical wire line
-/// ([`to_json_line`]). Two submissions of the same scenario — whatever
-/// whitespace or field order the submitter used — hash identically, so
-/// this is the sweep server's result-cache key and the digest printed in
-/// every protocol response.
-pub fn scenario_digest(scenario: &Scenario) -> u64 {
-    oasis_engine::fnv1a(to_json_line(scenario).as_bytes())
+        .pretty()
+        + "\n"
 }
 
 /// Parses a corpus file produced by [`to_json`].
@@ -163,7 +140,7 @@ pub fn write_repro(
         oracle.map_or("none", OracleKind::as_str)
     );
     let path = dir.join(name);
-    oasis_engine::failpoint::on_io("corpus.write", &path)?;
+    oasis_engine::failpoint::on_io("corpus.write")?;
     // Atomic: a kill mid-write must never leave a torn repro for the
     // regression replay to choke on.
     oasis_engine::fsio::atomic_write(&path, to_json(scenario, oracle).as_bytes())?;
@@ -278,6 +255,7 @@ pub fn load_dir(dir: &Path) -> Result<Corpus, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::ScratchDir;
 
     #[test]
     fn scenarios_round_trip_through_json() {
@@ -291,46 +269,6 @@ mod tests {
                 assert_eq!(kind, oracle, "seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn wire_line_round_trips_and_digest_is_stable() {
-        for seed in 0..50u64 {
-            let s = Scenario::generate(seed);
-            let line = to_json_line(&s);
-            assert!(!line.contains('\n'), "wire line must be one line");
-            let (back, oracle) = from_json(&line)
-                .unwrap_or_else(|e| panic!("seed {seed}: wire line failed to parse: {e}\n{line}"));
-            assert_eq!(back, s, "seed {seed}");
-            assert_eq!(oracle, None, "wire lines carry no oracle verdict");
-            // The digest is a pure function of the scenario: pretty and
-            // wire forms of the same scenario share it.
-            assert_eq!(scenario_digest(&s), scenario_digest(&back));
-        }
-        // Distinct scenarios get distinct cache keys (for these seeds).
-        assert_ne!(
-            scenario_digest(&Scenario::generate(1)),
-            scenario_digest(&Scenario::generate(2))
-        );
-    }
-
-    /// The wire line is the result-cache key preimage, a documented
-    /// compatibility contract: these digests must never change.
-    #[test]
-    fn scenario_digests_are_pinned() {
-        let digests: Vec<u64> = (0..5u64)
-            .map(|s| scenario_digest(&Scenario::generate(s)))
-            .collect();
-        assert_eq!(
-            digests,
-            [
-                0x143d_8c46_d722_b296,
-                0xa31b_5175_0c9c_630e,
-                0x7b3d_d261_209b_1840,
-                0x944a_4b3a_3db6_34fd,
-                0xdb64_14ec_9948_a79a,
-            ]
-        );
     }
 
     #[test]
@@ -381,8 +319,8 @@ mod tests {
 
     #[test]
     fn write_and_load_round_trip_on_disk() {
-        let dir = std::env::temp_dir().join(format!("oasis-fuzz-corpus-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = ScratchDir::new("fuzz-corpus").expect("scratch dir");
+        let dir = scratch.join("corpus");
         let a = Scenario::generate(1);
         let b = Scenario::generate(2);
         let pa = write_repro(&dir, &a, Some(OracleKind::Abort)).expect("write a");
@@ -406,9 +344,8 @@ mod tests {
 
     #[test]
     fn garbage_files_are_skipped_with_typed_warnings_not_fatal() {
-        let dir =
-            std::env::temp_dir().join(format!("oasis-fuzz-corpus-garbage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = ScratchDir::new("fuzz-corpus-garbage").expect("scratch dir");
+        let dir = scratch.join("corpus");
         let good = Scenario::generate(3);
         write_repro(&dir, &good, None).expect("write good repro");
         // Plant the three failure shapes next to it: a non-JSON file, an
@@ -436,6 +373,5 @@ mod tests {
         assert!(reason_for("README.txt").contains("not a .json"));
         assert!(reason_for("broken.json").contains("malformed"));
         assert!(reason_for("wrong-schema.json").contains("malformed"));
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -38,10 +38,7 @@ use oasis_engine::pool::{Job, StopHandle};
 use oasis_engine::sweep::{clip, JournaledSweep, Outcome, PayloadCodec, SweepOptions};
 use oasis_engine::{fnv1a, SimRng};
 
-pub use corpus::{
-    from_json, load_dir, scenario_digest, to_json, to_json_line, write_repro, Corpus, CorpusEntry,
-    SkippedFile,
-};
+pub use corpus::{from_json, load_dir, to_json, write_repro, Corpus, CorpusEntry, SkippedFile};
 pub use oracle::{check, OracleKind, Violation};
 pub use scenario::{Scenario, FUZZ_APPS};
 pub use shrink::{shrink, ShrinkResult, DEFAULT_SHRINK_BUDGET};
@@ -207,13 +204,6 @@ pub struct FuzzReport {
     /// Human-readable journal warnings (salvaged tail, duplicate
     /// adjudication records). Never part of the JSON report.
     pub warnings: Vec<String>,
-}
-
-impl FuzzReport {
-    /// No oracle violations and no supervision casualties.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.job_failures.is_empty()
-    }
 }
 
 /// The fuzz sweep's journal payload: a case's oracle verdict.

@@ -10,20 +10,11 @@
 use std::path::PathBuf;
 
 use oasis_engine::journal::{recover, JournalRecord, JournalWriter};
+use oasis_engine::ScratchDir;
 use oasis_fuzz::{report_json, run_fuzz, FuzzOptions};
 
 const MASTER_SEED: u64 = 0xFA57;
 const CASES: u64 = 5;
-
-/// A directory owned by one test alone (pid + test name): tests run on
-/// parallel threads, so a shared directory would be removed under the
-/// feet of whichever test finishes last.
-fn temp_dir(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oasis-fuzz-resume-{}-{test}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
 
 fn opts(journal: Option<PathBuf>, resume_sweep: bool, jobs: usize) -> FuzzOptions {
     let mut o = FuzzOptions::new(MASTER_SEED, CASES);
@@ -45,7 +36,7 @@ fn deterministic_json(o: &FuzzOptions) -> String {
 
 #[test]
 fn resuming_a_partial_journal_skips_done_cases_and_matches_byte_for_byte() {
-    let dir = temp_dir("partial");
+    let dir = ScratchDir::new("fuzz-resume-partial").expect("scratch dir");
 
     // Reference: the same sweep with no journal at all.
     let reference = deterministic_json(&opts(None, false, 1));
@@ -107,13 +98,11 @@ fn resuming_a_partial_journal_skips_done_cases_and_matches_byte_for_byte() {
             _ => {}
         }
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resuming_a_fully_adjudicated_journal_runs_nothing_new() {
-    let dir = temp_dir("complete");
+    let dir = ScratchDir::new("fuzz-resume-complete").expect("scratch dir");
     let path = dir.join("complete.jnl");
     let reference = deterministic_json(&opts(None, false, 1));
     deterministic_json(&opts(Some(path.clone()), false, 1));
@@ -141,13 +130,11 @@ fn resuming_a_fully_adjudicated_journal_runs_nothing_new() {
         .filter(|e| matches!(e, JournalRecord::Dispatched { .. }))
         .count();
     assert_eq!(dispatches_before, dispatches_after);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resuming_with_the_wrong_parameters_is_a_typed_refusal() {
-    let dir = temp_dir("wrong-tag");
+    let dir = ScratchDir::new("fuzz-resume-wrong-tag").expect("scratch dir");
     let path = dir.join("tagged.jnl");
     deterministic_json(&opts(Some(path.clone()), false, 1));
 
@@ -158,6 +145,4 @@ fn resuming_with_the_wrong_parameters_is_a_typed_refusal() {
     wrong.resume_sweep = true;
     let err = run_fuzz(&wrong).expect_err("tag mismatch must refuse");
     assert!(err.contains("journal"), "{err}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }

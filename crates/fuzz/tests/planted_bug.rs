@@ -11,6 +11,7 @@
 //! even if an assertion fails, and this file is its own test binary with a
 //! single test, so no parallel test sees the mutated simulator.
 
+use oasis_engine::ScratchDir;
 use oasis_fuzz::corpus;
 use oasis_fuzz::{check, run_fuzz, FuzzOptions};
 use oasis_uvm::test_flags;
@@ -37,12 +38,12 @@ const MASTER_SEED: u64 = 3;
 
 #[test]
 fn fuzzer_catches_shrinks_and_remembers_a_planted_eviction_bug() {
-    let corpus_dir = std::env::temp_dir().join(format!("oasis-fuzz-meta-{}", std::process::id()));
+    let corpus_dir = ScratchDir::new("fuzz-meta").expect("scratch dir");
 
     let failure = {
         let _bug = PlantedBug::plant();
         let mut opts = FuzzOptions::new(MASTER_SEED, 10);
-        opts.corpus_dir = Some(corpus_dir.clone());
+        opts.corpus_dir = Some(corpus_dir.path().to_path_buf());
         let report = run_fuzz(&opts).expect("unjournaled run cannot fail");
         report
             .failure
@@ -90,8 +91,6 @@ fn fuzzer_catches_shrinks_and_remembers_a_planted_eviction_bug() {
         check(&loaded).is_none(),
         "repro must pass on the fixed simulator"
     );
-
-    std::fs::remove_dir_all(&corpus_dir).ok();
 }
 
 /// One-off scan used to pick `MASTER_SEED`; kept (ignored) so the constant

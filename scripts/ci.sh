@@ -19,12 +19,9 @@
 # a fixed hardware-fault plan and report its recovery counters), a
 # bounded property-fuzz smoke over the differential policy oracle, the
 # crash-durability gate (SIGKILL a journaled fuzz sweep partway, resume
-# it, and cmp the report against an uninterrupted run), the sweep
-# server smoke (duplicate batches served from the result cache, typed
-# overload rejections under a saturated queue, and a SIGKILLed server
-# restarted on the same state directory with byte-identical results),
-# and the storage chaos matrix (every failpoint site x fault kind, each
-# cell holding the no-panic/no-corruption/typed-recovery triad).
+# it, and cmp the report against an uninterrupted run), and the storage
+# chaos matrix (every failpoint site x fault kind, each cell holding the
+# no-panic/no-corruption/typed-recovery triad).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -217,104 +214,15 @@ else
     echo "developer mode (CI_STRICT unset); skipping the kill/resume gate"
 fi
 
-step "sweep server smoke (cache, admission control, SIGKILL + restart)"
-if [ "$STRICT" = "1" ]; then
-    # The crash-durable job server, end to end against the release
-    # binary: duplicate submissions are answered from the result cache
-    # (byte-identical output, serve.cache_hits > 0), a saturated queue
-    # produces typed `overloaded` rejections instead of hanging, and a
-    # server SIGKILLed mid-batch resumes from its journal after a
-    # restart with results byte-identical to an uninterrupted server's.
-    SRV_DIR="$(mktemp -d)"
-    start_server() { # args: state-dir [serve flags...]; sets SRV_PID and PORT
-        local state="$1"; shift
-        ./target/release/oasis-sim serve --port 0 --serve-state "$state" "$@" \
-            >"$SRV_DIR/announce.txt" 2>>"$SRV_DIR/server.err" &
-        SRV_PID=$!
-        PORT=""
-        for _ in $(seq 1 100); do
-            PORT="$(sed -n 's/^serve: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-                "$SRV_DIR/announce.txt")"
-            [ -n "$PORT" ] && return 0
-            sleep 0.1
-        done
-        echo "serve smoke: server never announced its port" >&2
-        exit 1
-    }
-
-    # Result cache: the same batch twice; the rerun must cmp equal and
-    # come from the cache, not recompute.
-    start_server "$SRV_DIR/cache-state" --jobs 2
-    ./target/release/oasis-sim submit --port "$PORT" --seed 21 --cases 6 \
-        >"$SRV_DIR/ref.txt"
-    ./target/release/oasis-sim submit --port "$PORT" --seed 21 --cases 6 \
-        --submit-stats >"$SRV_DIR/rerun.txt" 2>"$SRV_DIR/rerun.err"
-    cmp "$SRV_DIR/ref.txt" "$SRV_DIR/rerun.txt"
-    grep -q 'serve\.cache_hits = [1-9]' "$SRV_DIR/rerun.err" || {
-        echo "serve smoke: rerun was not served from the cache" >&2
-        exit 1
-    }
-    kill -9 "$SRV_PID" 2>/dev/null || true
-    wait "$SRV_PID" 2>/dev/null || true
-
-    # Admission control: a burst against a one-slot queue must produce
-    # typed `overloaded` rejections — and the client must still exit.
-    start_server "$SRV_DIR/tiny-state" --jobs 1 --queue-depth 1
-    if ./target/release/oasis-sim submit --port "$PORT" --seed 5 --cases 8 \
-        >"$SRV_DIR/burst.txt" 2>&1; then
-        echo "serve smoke: an overloaded burst should exit nonzero" >&2
-        exit 1
-    fi
-    grep -q 'rejected: overloaded' "$SRV_DIR/burst.txt" || {
-        echo "serve smoke: no typed overload rejection in the burst output" >&2
-        exit 1
-    }
-    kill -9 "$SRV_PID" 2>/dev/null || true
-    wait "$SRV_PID" 2>/dev/null || true
-
-    # Crash durability: SIGKILL mid-batch, restart on the same state
-    # directory, resubmit; the output must cmp equal to the reference
-    # from the uninterrupted server above.
-    start_server "$SRV_DIR/crash-state" --jobs 2
-    ./target/release/oasis-sim submit --port "$PORT" --seed 21 --cases 6 \
-        >/dev/null 2>&1 &
-    SUBMIT_PID=$!
-    sleep 0.7
-    kill -9 "$SRV_PID" 2>/dev/null || true
-    wait "$SRV_PID" 2>/dev/null || true
-    wait "$SUBMIT_PID" 2>/dev/null || true
-    [ -f "$SRV_DIR/crash-state/serve.jnl" ] || {
-        echo "serve smoke: the server journal was never created" >&2
-        exit 1
-    }
-    start_server "$SRV_DIR/crash-state" --jobs 2
-    ./target/release/oasis-sim submit --port "$PORT" --seed 21 --cases 6 \
-        >"$SRV_DIR/resumed.txt"
-    cmp "$SRV_DIR/ref.txt" "$SRV_DIR/resumed.txt"
-
-    # Graceful drain: SIGTERM must exit 75 (EX_TEMPFAIL, resumable).
-    kill -TERM "$SRV_PID" 2>/dev/null || true
-    RC=0
-    wait "$SRV_PID" || RC=$?
-    [ "$RC" = "75" ] || {
-        echo "serve smoke: drained server exited $RC, want 75" >&2
-        exit 1
-    }
-    echo "serve smoke passed (cache hits, typed overload, SIGKILL + restart cmp, drain rc=75)"
-    rm -rf "$SRV_DIR"
-else
-    echo "developer mode (CI_STRICT unset); skipping the sweep server smoke"
-fi
-
 step "storage chaos (failpoint matrix: every site x fault kind)"
 if [ "$STRICT" = "1" ]; then
     # The full deterministic fault-injection audit against the release
     # binary: every registered failpoint site crossed with every
     # applicable fault kind (EIO, ENOSPC, short write, fsync failure,
-    # rename failure, torn append) across the checkpoint, journal,
-    # corpus, and serve surfaces. Each cell must hold the invariant
-    # triad — no panic, no corrupt artifact read back as valid, and
-    # recovery either byte-identical or a typed error naming the site.
+    # rename failure, torn append) across the checkpoint, journal, and
+    # corpus surfaces. Each cell must hold the invariant triad — no
+    # panic, no corrupt artifact read back as valid, and recovery either
+    # byte-identical or a typed error naming the site.
     ./target/release/oasis-sim chaos --jobs "$(nproc)"
 else
     echo "developer mode (CI_STRICT unset); skipping the storage chaos matrix"

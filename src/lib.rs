@@ -37,7 +37,6 @@
 //! | [`workloads`] | `oasis-workloads` | the 11 application trace generators |
 //! | [`mgpu`] | `oasis-mgpu` | system assembly, simulation loop, characterization |
 //! | [`fuzz`] | `oasis-fuzz` | scenario fuzzer: generator, differential oracle, shrinker, corpus |
-//! | [`serve`] | `oasis-serve` | crash-durable sweep server: job queue, result cache, wire protocol |
 
 pub use oasis_core as core;
 pub use oasis_engine as engine;
@@ -46,7 +45,6 @@ pub use oasis_grit as grit;
 pub use oasis_interconnect as interconnect;
 pub use oasis_mem as mem;
 pub use oasis_mgpu as mgpu;
-pub use oasis_serve as serve;
 pub use oasis_uvm as uvm;
 pub use oasis_workloads as workloads;
 
